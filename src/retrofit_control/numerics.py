@@ -1,7 +1,8 @@
 """Dense matrix computations shared by the rest of the library.
 
-Eigenvalue-based stability tests, matrix exponentials, Lyapunov and Riccati
-solvers, and the L-infinity / H-infinity norm via Hamiltonian bisection.
+Eigenvalue-based stability tests, matrix exponentials, the Bartels-Stewart
+Lyapunov solver, the Riccati solver, and the L-infinity / H-infinity norm via
+Hamiltonian bisection.
 All routines operate on plain numpy arrays and are pure functions.
 """
 
@@ -17,9 +18,6 @@ __all__ = [
     "hinf_norm",
     "NumericsError",
 ]
-
-# Kronecker-vectorized Lyapunov solve up to this state dimension, Bartels-Stewart above.
-_LYAP_KRON_MAX = 60
 
 # Relative threshold for treating an eigenvalue as lying on the imaginary axis.
 _IMAG_AXIS_TOL = 1e-9
@@ -61,9 +59,9 @@ def expm(A, t=1.0):
 def solve_lyapunov(A, Q):
     """Solve the continuous Lyapunov equation ``A P + P A^T + Q = 0``.
 
-    Uses the Kronecker-vectorized linear solve for small problems and
-    Bartels-Stewart beyond the crossover size.  Requires that no two
-    eigenvalues of ``A`` sum to zero (strictly stable ``A`` suffices).
+    Uses the Bartels-Stewart Schur method, O(n^3) at every size.  Requires
+    that no two eigenvalues of ``A`` sum to zero (strictly stable ``A``
+    suffices); a numerically singular operator raises ``NumericsError``.
     """
     A = _as_square(A)
     Q = _as_square(Q, "Q")
@@ -83,12 +81,7 @@ def solve_lyapunov(A, Q):
             f"lambda_i + lambda_j = {min_sum:.3e} is numerically zero"
         )
 
-    if n <= _LYAP_KRON_MAX:
-        eye = np.eye(n)
-        op = np.kron(eye, A) + np.kron(A, eye)
-        P = np.linalg.solve(op, -Q.reshape(-1, order="F")).reshape((n, n), order="F")
-    else:
-        P = scipy.linalg.solve_lyapunov(A, -Q)
+    P = scipy.linalg.solve_continuous_lyapunov(A, -Q)
     return 0.5 * (P + P.T)
 
 

@@ -2,9 +2,9 @@
 
 Every value-level check is cross-validated against an independent oracle:
 characteristic-polynomial roots for the abscissa, a Kronecker-product
-linear solve for Lyapunov equations, algebraic residuals for Riccati
-equations, closed-form solutions for the matrix exponential, and dense
-frequency-grid scans for the H-infinity norm.
+linear solve for Lyapunov equations (the library uses Bartels-Stewart),
+algebraic residuals for Riccati equations, closed-form solutions for the
+matrix exponential, and dense frequency-grid scans for the H-infinity norm.
 """
 
 import numpy as np
@@ -50,19 +50,69 @@ class TestSpectralAbscissa:
         assert spectral_abscissa(A) == pytest.approx(-0.25, abs=1e-12)
 
 
+def _kronecker_lyapunov(A, Q):
+    """Oracle: vectorized solve of (I (x) A + A (x) I) vec(P) = -vec(Q)."""
+    n = A.shape[0]
+    M = np.kron(np.eye(n), A) + np.kron(A, np.eye(n))
+    return np.linalg.solve(M, -Q.reshape(-1)).reshape(n, n)
+
+
+def _oscillator_chain(n_nodes):
+    """Lightly damped grounded spring chain with stiffnesses from 0.1 to 100.
+
+    Unit masses and damping 0.02, angle/rate states as in ``oscnet``; the
+    spread stiffnesses give natural frequencies over about two decades, all
+    poles at real part -0.01.
+    """
+    k = np.logspace(-1, 2, n_nodes + 1)
+    L = np.diag(k[:-1] + k[1:]) - np.diag(k[1:-1], 1) - np.diag(k[1:-1], -1)
+    eye = np.eye(n_nodes)
+    return np.block([[np.zeros((n_nodes, n_nodes)), eye], [-L, -0.02 * eye]])
+
+
 class TestLyapunov:
+    def _assert_matches_oracle(self, A, Q):
+        P = solve_lyapunov(A, Q)
+        P_ref = _kronecker_lyapunov(A, Q)
+        assert np.abs(P - P_ref).max() < 1e-9 * max(1.0, np.abs(P_ref).max())
+
     def test_matches_kronecker_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
             n = 6
             A = rng.standard_normal((n, n)) - 3.0 * np.eye(n)
             Q0 = rng.standard_normal((n, n))
-            Q = Q0 @ Q0.T
-            P = solve_lyapunov(A, Q)
-            # Oracle: vectorized solve of (I (x) A + A (x) I) vec(P) = -vec(Q).
-            M = np.kron(np.eye(n), A) + np.kron(A, np.eye(n))
-            P_ref = np.linalg.solve(M, -Q.reshape(-1)).reshape(n, n)
-            assert np.abs(P - P_ref).max() < 1e-9 * max(1.0, np.abs(P_ref).max())
+            self._assert_matches_oracle(A, Q0 @ Q0.T)
+
+    def test_matches_kronecker_oracle_at_environment_size(self):
+        # n = 52 is the state count of the paper network's minimal environment.
+        rng = np.random.default_rng(4)
+        n = 52
+        A = rng.standard_normal((n, n))
+        A = A - (spectral_abscissa(A) + 0.5) * np.eye(n)
+        B = rng.standard_normal((n, 3))
+        self._assert_matches_oracle(A, B @ B.T)
+
+    def test_matches_kronecker_oracle_on_lightly_damped_chain(self):
+        A = _oscillator_chain(26)
+        assert -0.011 < spectral_abscissa(A) < -0.009
+        B = np.zeros((52, 2))
+        B[26, 0] = B[51, 1] = 1.0
+        self._assert_matches_oracle(A, B @ B.T)
+        self._assert_matches_oracle(A.T, np.eye(52))
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.diag([1.0, -1.0]),
+            np.array([[0.0, 2.0], [-2.0, 0.0]]),
+            np.diag([-1.0, 0.0]),
+        ],
+        ids=["real-pair", "imaginary-axis-pair", "zero-eigenvalue"],
+    )
+    def test_singular_operator_raises(self, A):
+        with pytest.raises(NumericsError, match="singular Lyapunov operator"):
+            solve_lyapunov(A, np.eye(2))
 
     def test_residual_and_symmetry(self):
         rng = np.random.default_rng(2)
