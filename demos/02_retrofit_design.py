@@ -43,7 +43,7 @@ def main():
     design_plant = new_subsystem(G, apx)
     gp = build_generalized_plant(design_plant, alpha=0.2)
     module, level = hinf_synthesize(gp)
-    print(f"module controller: {module.as_statespace().n_states} states, "
+    print(f"module controller: {module.sys.n_states} states, "
           f"design level {level:.4f}")
 
     K = compose_retrofit(module, extended_rectifier(G, apx))

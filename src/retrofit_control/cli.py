@@ -281,12 +281,8 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
     t = np.arange(n_samples) * dt
 
     meta = {"mode": mode, "k_c": k_c, "n_apx": napx, "alpha": alpha, "dt": dt}
-    if mode == "retrofit":
-        module, achieved = _design_module(G, apx, alpha, cfg)
-        meta["achieved_gamma"] = achieved
-    elif mode == "direct":
-        module, achieved = _design_module(G, apx, alpha, cfg)
-        meta["achieved_gamma"] = achieved
+    if mode in ("retrofit", "direct"):
+        module, meta["achieved_gamma"] = _design_module(G, apx, alpha, cfg)
     elif mode == "none":
         module = ModuleController.from_static(
             np.zeros((len(G.cmap.inputs["u"]), ny)),
@@ -380,7 +376,8 @@ def _build_parser():
     p_ver.add_argument("--fuzz-count", type=int, default=None)
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--out", default=".")
-    p_ver.add_argument("--sabotage", default=None, help=argparse.SUPPRESS)
+    p_ver.add_argument("--sabotage", choices=("rectifier-sign-flip",), default=None,
+                       help=argparse.SUPPRESS)
     return parser
 
 

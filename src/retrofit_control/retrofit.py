@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .lti import ChannelMap, StateSpace, close_loop, minreal, select_channels, series
+from .lti import (
+    ChannelMap,
+    StateSpace,
+    close_loop,
+    freq_response,
+    minreal,
+    select_channels,
+    series,
+)
 from .numerics import hinf_norm, spectral_abscissa
 
 __all__ = [
@@ -240,44 +248,48 @@ def _env_blocks(env):
     return s.A, s.B, s.C, s.D
 
 
-def _module_ss(module):
-    """Accept a ModuleController or a raw StateSpace mapping (y_hat, w_hat) -> u."""
-    if isinstance(module, StateSpace):
-        return module
-    return module.as_statespace()
+def _plant_with_env(G, env):
+    """States ``(x, x_env)``, inputs ``(d, u)``, outputs ``(z, y, w, v)``."""
+    env.check_dims(G)
+    A, B_u, L, W, Gamma, S, C = G.A, G.B, G.L, G.W, G.Gamma, G.S, G.C
+    Ae, Be, Ce, De = _env_blocks(env)
+    n, ne = A.shape[0], Ae.shape[0]
+    nd, nu = W.shape[1], B_u.shape[1]
+
+    Afull = np.block(
+        [[A + L @ De @ Gamma, L @ Ce], [Be @ Gamma, Ae]]
+    ) if n + ne else np.zeros((0, 0))
+    Bfull = np.block([[W, B_u], [np.zeros((ne, nd)), np.zeros((ne, nu))]])
+    Cfull = np.block(
+        [
+            [S, np.zeros((S.shape[0], ne))],
+            [C, np.zeros((C.shape[0], ne))],
+            [Gamma, np.zeros((Gamma.shape[0], ne))],
+            [De @ Gamma, Ce],
+        ]
+    )
+    return StateSpace(Afull, Bfull, Cfull)
 
 
 def assemble_preexisting(G, env):
     """Close the environment loop ``v = env(w)``; inputs ``(d, u)``, outputs ``(z, y)``."""
-    env.check_dims(G)
-    closed = close_loop(
-        G.sys,
-        env.sys,
-        G.cmap.inputs["v"],
-        G.cmap.outputs["w"],
-        keep_external=False,
-    )
-    # Inputs of `closed` are the non-v columns in ascending original order.
-    other = np.setdiff1d(np.arange(G.sys.n_inputs), G.cmap.inputs["v"])
-    pos = {orig: k for k, orig in enumerate(other)}
-    cols = [pos[i] for i in np.concatenate([G.cmap.inputs["d"], G.cmap.inputs["u"]])]
-    rows = np.concatenate([G.cmap.outputs["z"], G.cmap.outputs["y"]])
-    return StateSpace(
-        closed.A, closed.B[:, cols], closed.C[rows, :], closed.D[np.ix_(rows, cols)]
-    )
+    full = _plant_with_env(G, env)
+    nzy = len(G.cmap.outputs["z"]) + len(G.cmap.outputs["y"])
+    return StateSpace(full.A, full.B, full.C[:nzy, :], full.D[:nzy, :])
 
 
 _AXIS_TOL = 1e-9
 _HIDE_TOL = 1e-7
 
 
-def _split_marginal(sys, axis_tol=_AXIS_TOL):
+def _split_marginal(sys, axis_tol, hide_tol):
     """Decouple the modes with real part >= -axis_tol from the stable rest.
 
     Returns ``None`` when no such mode exists, otherwise the strictly
-    stable remainder system plus the decoupled ``(A11, B1, C1)`` data of
-    the marginal/unstable block (obtained by an ordered Schur form and a
-    Sylvester solve, so the split is an exact similarity).
+    stable remainder system (an ordered Schur form and a Sylvester solve
+    make the split an exact similarity) and the real parts of the
+    split-off modes that are both controllable and observable, relative
+    to the input/output coupling scale, above ``hide_tol``.
     """
     n = sys.n_states
     if n == 0:
@@ -290,21 +302,20 @@ def _split_marginal(sys, axis_tol=_AXIS_TOL):
     Bt = Z.T @ sys.B
     Ct = sys.C @ Z
     if k == n:
-        empty = StateSpace(
+        reduced = StateSpace(
             np.zeros((0, 0)), np.zeros((0, sys.n_inputs)),
             np.zeros((sys.n_outputs, 0)), sys.D,
         )
-        return empty, (T, Bt, Ct)
-    A11, A12, A22 = T[:k, :k], T[:k, k:], T[k:, k:]
-    X = scipy.linalg.solve_sylvester(A11, -A22, -A12)
-    B1 = Bt[:k] - X @ Bt[k:]
-    C1 = Ct[:, :k]
-    C2 = C1 @ X + Ct[:, k:]
-    return StateSpace(A22, Bt[k:], C2, sys.D), (A11, B1, C1)
+        A11, B1, C1 = T, Bt, Ct
+    else:
+        A11, A12, A22 = T[:k, :k], T[:k, k:], T[k:, k:]
+        X = scipy.linalg.solve_sylvester(A11, -A22, -A12)
+        B1 = Bt[:k] - X @ Bt[k:]
+        C1 = Ct[:, :k]
+        reduced = StateSpace(A22, Bt[k:], C1 @ X + Ct[:, k:], sys.D)
 
-
-def _visible_modes(A11, B1, C1, scale_b, scale_c, hide_tol=_HIDE_TOL):
-    """Real parts of block eigenvalues that are both controllable and observable."""
+    scale_b = max(1.0, np.linalg.norm(sys.B, 2)) if sys.B.size else 1.0
+    scale_c = max(1.0, np.linalg.norm(sys.C, 2)) if sys.C.size else 1.0
     evals, V = np.linalg.eig(A11)
     Wl = np.linalg.inv(V)
     visible = []
@@ -315,7 +326,7 @@ def _visible_modes(A11, B1, C1, scale_b, scale_c, hide_tol=_HIDE_TOL):
         ctr = np.linalg.norm(w @ B1) / scale_b
         if obs > hide_tol and ctr > hide_tol:
             visible.append(float(evals[i].real))
-    return visible
+    return reduced, visible
 
 
 def deflated_abscissa(sys, axis_tol=_AXIS_TOL, hide_tol=_HIDE_TOL):
@@ -326,13 +337,10 @@ def deflated_abscissa(sys, axis_tol=_AXIS_TOL, hide_tol=_HIDE_TOL):
     from the outputs (relative measure below ``hide_tol``); the remaining
     visible dynamics determine the verdict.
     """
-    split = _split_marginal(sys, axis_tol)
+    split = _split_marginal(sys, axis_tol, hide_tol)
     if split is None:
         return spectral_abscissa(sys.A)
-    reduced, (A11, B1, C1) = split
-    scale_b = max(1.0, np.linalg.norm(sys.B, 2)) if sys.B.size else 1.0
-    scale_c = max(1.0, np.linalg.norm(sys.C, 2)) if sys.C.size else 1.0
-    visible = _visible_modes(A11, B1, C1, scale_b, scale_c, hide_tol)
+    reduced, visible = split
     return max([spectral_abscissa(reduced.A)] + visible)
 
 
@@ -342,20 +350,10 @@ def deflate_hidden(sys, axis_tol=_AXIS_TOL, hide_tol=_HIDE_TOL):
     Returns the input unchanged when some such mode genuinely appears in
     the i/o behavior (the system is then not norm-bounded anyway).
     """
-    split = _split_marginal(sys, axis_tol)
-    if split is None:
+    split = _split_marginal(sys, axis_tol, hide_tol)
+    if split is None or split[1]:
         return sys
-    reduced, (A11, B1, C1) = split
-    scale_b = max(1.0, np.linalg.norm(sys.B, 2)) if sys.B.size else 1.0
-    scale_c = max(1.0, np.linalg.norm(sys.C, 2)) if sys.C.size else 1.0
-    if _visible_modes(A11, B1, C1, scale_b, scale_c, hide_tol):
-        return sys
-    return reduced
-
-
-def _deflated_abscissa(sys):
-    """Spectral abscissa after removing modes hidden from the given i/o pair."""
-    return deflated_abscissa(sys)
+    return split[0]
 
 
 def check_admissible(G, env, tol=STABILITY_TOL):
@@ -366,10 +364,10 @@ def check_admissible(G, env, tol=STABILITY_TOL):
     the evaluation output, which excuses rigid-body modes that the
     evaluation output cannot see.
     """
-    pre = assemble_preexisting(G, env)
+    full = _plant_with_env(G, env)
     nz = len(G.cmap.outputs["z"])
-    dz = StateSpace(pre.A, pre.B, pre.C[:nz, :], pre.D[:nz, :])
-    return bool(_deflated_abscissa(dz) < tol)
+    dz = StateSpace(full.A, full.B, full.C[:nz, :], full.D[:nz, :])
+    return bool(deflated_abscissa(dz) < tol)
 
 
 def new_subsystem(G, apx):
@@ -422,18 +420,23 @@ def extended_rectifier(G, apx):
     return Rectifier(StateSpace(Ar, Br, Cr, Dr), G, apx)
 
 
-def _design_closed_loop(G, apx, module):
-    """Closed loop of the rectified design plant with the module controller."""
+def _require_stabilizing(G, apx, module):
+    """Refuse a module that does not stabilize the rectified design plant."""
     gplus = new_subsystem(G, apx)
     design = select_channels(gplus.sys, gplus.cmap, ("u",), ("y", "w"))
-    mod = _module_ss(module)
-    return close_loop(
+    closed = close_loop(
         design,
-        mod,
+        module.sys,
         np.arange(design.n_inputs),
         np.arange(design.n_outputs),
         keep_external=False,
     )
+    abscissa = spectral_abscissa(closed.A)
+    if not abscissa < 0.0:
+        raise ValueError(
+            f"module controller does not stabilize the design plant "
+            f"(abscissa {abscissa:.3e})"
+        )
 
 
 def compose_retrofit(module, rect):
@@ -443,38 +446,9 @@ def compose_retrofit(module, rect):
     stability of the loop with the embedded environment model); composition
     is refused otherwise.  The realized controller maps ``(y, w, v) -> u``.
     """
-    closed = _design_closed_loop(rect.plant, rect.apx, module)
-    abscissa = spectral_abscissa(closed.A)
-    if not abscissa < 0.0:
-        raise ValueError(
-            f"module controller does not stabilize the design plant "
-            f"(abscissa {abscissa:.3e})"
-        )
-    realized = series(rect.sys, _module_ss(module))
+    _require_stabilizing(rect.plant, rect.apx, module)
+    realized = series(rect.sys, module.sys)
     return RetrofitController(rect, module, realized)
-
-
-def _plant_with_env(G, env):
-    """States ``(x, x_env)``, inputs ``(d, u)``, outputs ``(z, y, w, v)``."""
-    env.check_dims(G)
-    A, B_u, L, W, Gamma, S, C = G.A, G.B, G.L, G.W, G.Gamma, G.S, G.C
-    Ae, Be, Ce, De = _env_blocks(env)
-    n, ne = A.shape[0], Ae.shape[0]
-    nd, nu = W.shape[1], B_u.shape[1]
-
-    Afull = np.block(
-        [[A + L @ De @ Gamma, L @ Ce], [Be @ Gamma, Ae]]
-    ) if n + ne else np.zeros((0, 0))
-    Bfull = np.block([[W, B_u], [np.zeros((ne, nd)), np.zeros((ne, nu))]])
-    Cfull = np.block(
-        [
-            [S, np.zeros((S.shape[0], ne))],
-            [C, np.zeros((C.shape[0], ne))],
-            [Gamma, np.zeros((Gamma.shape[0], ne))],
-            [De @ Gamma, Ce],
-        ]
-    )
-    return StateSpace(Afull, Bfull, Cfull)
 
 
 def closed_loop_direct(G, env, K):
@@ -516,7 +490,7 @@ def direct_controller(G, module):
     nw = len(G.cmap.outputs["w"])
     nv = len(G.cmap.inputs["v"])
     sel = np.hstack([np.eye(ny + nw), np.zeros((ny + nw, nv))])
-    return series(StateSpace.from_gain(sel), _module_ss(module))
+    return series(StateSpace.from_gain(sel), module.sys)
 
 
 def cascade_realization(G, env, apx, module, check=True):
@@ -527,22 +501,16 @@ def cascade_realization(G, env, apx, module, check=True):
     the modeling-error coupling from the upstream state.  The evaluation
     output decomposes as ``z = z_hat + z_check``.
     """
-    env.check_dims(G)
     apx.check_dims(G)
-    mod = _module_ss(module)
+    plantE = _plant_with_env(G, env)
+    mod = module.sys
     if check:
-        closed = _design_closed_loop(G, apx, module)
-        abscissa = spectral_abscissa(closed.A)
-        if not abscissa < 0.0:
-            raise ValueError(
-                f"module controller does not stabilize the design plant "
-                f"(abscissa {abscissa:.3e})"
-            )
+        _require_stabilizing(G, apx, module)
 
     A, B_u, L, W, Gamma, S, C = G.A, G.B, G.L, G.W, G.Gamma, G.S, G.C
     Aa, Ba, Ca, Da = _env_blocks(apx)
-    Ae, Be, Ce, De = _env_blocks(env)
-    n, na, ne, nm = A.shape[0], Aa.shape[0], Ae.shape[0], mod.n_states
+    Be, De, ne = env.sys.B, env.sys.D, env.sys.n_states
+    n, na, nm = A.shape[0], Aa.shape[0], mod.n_states
     nz, nw, ny = S.shape[0], Gamma.shape[0], C.shape[0]
     nd = W.shape[1]
 
@@ -571,14 +539,12 @@ def cascade_realization(G, env, apx, module, check=True):
     upstream = StateSpace(A_up, B_up, C_up)
 
     # Downstream states (xi_check, x_env), inputs (xi_hat, x_apx).
-    A_dn = np.block(
-        [[A + L @ De @ Gamma, L @ Ce], [Be @ Gamma, Ae]]
-    ) if n + ne else np.zeros((0, 0))
+    A_dn = plantE.A
     B_dn = np.block(
         [[L @ (De - Da) @ Gamma, -L @ Ca], [Be @ Gamma, np.zeros((ne, na))]]
     )
-    C_dn = np.block([[S, np.zeros((nz, ne))]])
-    downstream = StateSpace(A_dn, B_dn, C_dn)
+    Sz_dn = plantE.C[:nz, :]
+    downstream = StateSpace(A_dn, B_dn, Sz_dn)
 
     # Combined realization with taps (z, z_hat, z_check, w_hat).
     n_up = n + na + nm
@@ -590,14 +556,13 @@ def cascade_realization(G, env, apx, module, check=True):
         ]
     ) if n_up + n_dn else np.zeros((0, 0))
     B_all = np.vstack([B_up, np.zeros((n_dn, nd))])
-    Sz_up = np.hstack([S, np.zeros((nz, na + nm))])
-    Sz_dn = np.hstack([S, np.zeros((nz, ne))])
+    Sz_up = C_up[:nz, :]
     C_all = np.block(
         [
             [Sz_up, Sz_dn],
             [Sz_up, np.zeros((nz, n_dn))],
             [np.zeros((nz, n_up)), Sz_dn],
-            [np.hstack([Gamma, np.zeros((nw, na + nm))]), np.zeros((nw, n_dn))],
+            [C_up[nz:, :], np.zeros((nw, n_dn))],
         ]
     )
     tapped = StateSpace(A_all, B_all, C_all)
@@ -618,8 +583,6 @@ def invariance_residual(G, K, grid=None):
     if grid is None:
         grid = default_frequency_grid()
     nv = len(G.cmap.inputs["v"])
-    ny = len(G.cmap.outputs["y"])
-    nw = len(G.cmap.outputs["w"])
     nu = len(G.cmap.inputs["u"])
 
     # Augment with a feedthrough copy of v so the controller can measure it.
@@ -653,17 +616,12 @@ def invariance_residual(G, K, grid=None):
     )
     gwv_open = select_channels(G.sys, G.cmap, ("v",), ("w",))
 
-    worst = 0.0
-    for w in grid:
-        ref = _freq(gwv_open, w)
-        delta = _freq(gwv_closed, w) - ref
-        if delta.size:
-            scale = max(1.0, float(np.linalg.svd(ref, compute_uv=False)[0]))
-            worst = max(
-                worst,
-                float(np.linalg.svd(delta, compute_uv=False)[0]) / scale,
-            )
-    return worst
+    ref = freq_response(gwv_open, grid)
+    delta = freq_response(gwv_closed, grid) - ref
+    if not delta.size:
+        return 0.0
+    scale = np.maximum(1.0, np.linalg.svd(ref, compute_uv=False)[:, 0])
+    return float(np.max(np.linalg.svd(delta, compute_uv=False)[:, 0] / scale))
 
 
 def kernel_residual(G, rect, grid=None):
@@ -691,18 +649,8 @@ def kernel_residual(G, rect, grid=None):
             ]
         ),
     )
-    worst = 0.0
-    for w in grid:
-        val = _freq(rect.sys, w) @ _freq(gy, w)
-        worst = max(worst, float(np.linalg.svd(val, compute_uv=False)[0]))
-    return worst
-
-
-def _freq(sys, w):
-    n = sys.n_states
-    if n == 0:
-        return sys.D.astype(complex)
-    return sys.C @ np.linalg.solve(1j * w * np.eye(n) - sys.A, sys.B) + sys.D
+    val = freq_response(rect.sys, grid) @ freq_response(gy, grid)
+    return float(np.max(np.linalg.svd(val, compute_uv=False)[:, 0]))
 
 
 def performance_bounds(G, env, apx, module, norm_tol=1e-8):
@@ -717,7 +665,7 @@ def performance_bounds(G, env, apx, module, norm_tol=1e-8):
     """
     casc = cascade_realization(G, env, apx, module, check=False)
     rect = extended_rectifier(G, apx)
-    K = series(rect.sys, _module_ss(module))
+    K = series(rect.sys, module.sys)
     residual = invariance_residual(G, K)
 
     if not deflated_abscissa(casc.T_zd) < STABILITY_TOL:

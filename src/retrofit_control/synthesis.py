@@ -36,8 +36,8 @@ class ModuleController:
     """Controller acting on the rectified measurements ``(y_hat, w_hat)``.
 
     Either a pair of static gains ``u = K_y y_hat + K_w w_hat`` or a
-    dynamic state-space controller; both expose a common state-space
-    realization through :meth:`as_statespace`.
+    dynamic state-space controller; both carry their state-space
+    realization as ``sys``.
     """
 
     sys: StateSpace
@@ -58,9 +58,6 @@ class ModuleController:
     @property
     def is_static(self):
         return self.gains is not None
-
-    def as_statespace(self):
-        return self.sys
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,25 @@ def single_point(tmp_path_factory):
     return cfg, out
 
 
+@pytest.fixture(scope="module")
+def simulated(single_point, tmp_path_factory):
+    """One simulate run per mode at the fixture's grid point."""
+    cfg, _ = single_point
+    base = tmp_path_factory.mktemp("sim")
+    outs = {}
+    for mode in ("retrofit", "direct", "none"):
+        outs[mode] = base / mode
+        _run(
+            "simulate", "--config", str(cfg), "--kc", "3", "--napx", "0",
+            "--alpha", "0.2", "--mode", mode, "--out", str(outs[mode]),
+        )
+    return outs
+
+
+def _metadata(out):
+    return json.loads((out / "simulate_metadata.json").read_text())
+
+
 class TestSweep:
     def test_outputs_exist(self, single_point):
         _, out = single_point
@@ -94,13 +113,8 @@ class TestSweep:
 
 
 class TestSimulate:
-    def test_retrofit_tap_additivity(self, single_point, tmp_path):
-        cfg, _ = single_point
-        out = tmp_path / "sim"
-        _run(
-            "simulate", "--config", str(cfg), "--kc", "3", "--napx", "0",
-            "--alpha", "0.2", "--mode", "retrofit", "--out", str(out),
-        )
+    def test_retrofit_tap_additivity(self, simulated):
+        out = simulated["retrofit"]
         rows = list(csv.DictReader(open(out / "timeseries.csv")))
         assert rows
         z_cols = [c for c in rows[0] if c.startswith("z_")]
@@ -111,36 +125,28 @@ class TestSimulate:
                 total = float(r[f"zhat_{idx}"]) + float(r[f"zcheck_{idx}"])
                 assert abs(float(r[c]) - total) < 1e-9
 
-        meta = json.loads((out / "simulate_metadata.json").read_text())
-        assert meta["stable"] is True
+        assert _metadata(out)["stable"] is True
 
-    def test_none_mode_is_open_loop(self, single_point, tmp_path):
+    def test_none_mode_is_open_loop(self, simulated):
         # Without control and without modeling error the downstream tap
         # vanishes, so z equals the upstream component alone.
-        cfg, _ = single_point
-        out = tmp_path / "sim_none"
-        _run(
-            "simulate", "--config", str(cfg), "--kc", "3", "--napx", "0",
-            "--alpha", "0.2", "--mode", "none", "--out", str(out),
-        )
-        rows = list(csv.DictReader(open(out / "timeseries.csv")))
+        rows = list(csv.DictReader(open(simulated["none"] / "timeseries.csv")))
         assert rows
         # Impulse response decays for the damped stable network.
         z0_early = abs(float(rows[5]["z_1"]))
         tail = max(abs(float(r["z_1"])) for r in rows[-20:])
         assert np.isfinite(z0_early) and np.isfinite(tail)
 
-    def test_direct_mode_outputs(self, single_point, tmp_path):
-        cfg, _ = single_point
-        out = tmp_path / "sim_direct"
-        _run(
-            "simulate", "--config", str(cfg), "--kc", "3", "--napx", "0",
-            "--alpha", "0.2", "--mode", "direct", "--out", str(out),
-        )
+    def test_direct_mode_outputs(self, simulated):
+        out = simulated["direct"]
         rows = list(csv.DictReader(open(out / "timeseries.csv")))
         assert rows
         assert any(c.startswith("z_") for c in rows[0])
         assert not any(c.startswith("zhat_") for c in rows[0])
+        # Direct and retrofit modes implement the same synthesized module.
+        gamma = _metadata(out)["achieved_gamma"]
+        assert np.isfinite(gamma)
+        assert gamma == _metadata(simulated["retrofit"])["achieved_gamma"]
 
 
 class TestVerify:
@@ -164,3 +170,13 @@ class TestVerify:
             l.startswith("FAIL") for l in proc.stdout.splitlines()
         )
         assert (tmp_path / "verify_failures.json").exists()
+
+    def test_unknown_sabotage_rejected(self, tmp_path):
+        # A misspelled mutation must not silently run the unsabotaged suite.
+        proc = _run(
+            "verify", "--fuzz-count", "0", "--seed", "0",
+            "--out", str(tmp_path), "--sabotage", "rectifier-sign-flop",
+            check=False,
+        )
+        assert proc.returncode != 0
+        assert "invalid choice" in proc.stderr

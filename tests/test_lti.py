@@ -52,6 +52,9 @@ class TestStateSpace:
         sys = StateSpace.from_gain(K)
         assert sys.n_states == 0
         assert np.array_equal(sys.D, K)
+        H = freq_response(sys, np.logspace(-2, 2, 5))
+        assert H.shape == (5, 2, 2)
+        assert all(np.array_equal(Hk, K) for Hk in H)
 
     def test_default_feedthrough_is_zero(self):
         sys = StateSpace([[-1.0]], [[1.0]], [[1.0]])
@@ -150,21 +153,31 @@ class TestFreqResponse:
     def test_modal_oracle(self):
         rng = np.random.default_rng(6)
         sys = _rand_sys(rng, 4, 2, 2)
-        w = 2.0
         evals, V = np.linalg.eig(sys.A)
-        ref = (
-            sys.C
-            @ V
-            @ np.diag(1.0 / (1j * w - evals))
-            @ np.linalg.solve(V, sys.B)
-            + sys.D
-        )
-        assert np.abs(freq_response(sys, w) - ref).max() < 1e-10
+        # Long enough to span several batched solves.
+        grid = np.concatenate([[2.0], np.logspace(-2, 2, 3000)])
+        H = freq_response(sys, grid)
+        assert H.shape == (grid.size, 2, 2)
+        for Hk, w in zip(H, grid):
+            # The stack is the per-point evaluation, to the last bit.
+            assert np.array_equal(Hk, freq_response(sys, w))
+            ref = (
+                sys.C
+                @ V
+                @ np.diag(1.0 / (1j * w - evals))
+                @ np.linalg.solve(V, sys.B)
+                + sys.D
+            )
+            assert np.abs(Hk - ref).max() < 1e-10
 
     def test_pole_rejected(self):
         sys = StateSpace([[0.0, 1.0], [-4.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]])
-        with pytest.raises(ValueError):
-            freq_response(sys, 2.0)
+        # A grid is refused when a single one of its points sits on the pole,
+        # also when that point comes after many others.
+        long_grid = np.append(np.linspace(0.1, 1.0, 10000), 2.0)
+        for w in (2.0, [0.5, 2.0, 3.0], long_grid):
+            with pytest.raises(ValueError, match="pole"):
+                freq_response(sys, w)
 
 
 class TestSimulate:

@@ -99,7 +99,7 @@ class TestHinfSynthesize:
         )
         gp = build_generalized_plant(plant, alpha=0.3)
         module, gamma = hinf_synthesize(gp)
-        K = module.as_statespace()
+        K = module.sys
         # Verify stability of the measurement loop independently.
         Kmap = K.C, K.D
         meas = np.vstack([plant.C, plant.Gamma])
@@ -118,8 +118,8 @@ class TestHinfSynthesize:
         m1, g1 = hinf_synthesize(gp)
         m2, g2 = hinf_synthesize(gp)
         assert g1 == g2
-        assert np.array_equal(m1.as_statespace().A, m2.as_statespace().A)
-        assert np.array_equal(m1.as_statespace().B, m2.as_statespace().B)
+        assert np.array_equal(m1.sys.A, m2.sys.A)
+        assert np.array_equal(m1.sys.B, m2.sys.B)
 
     def test_marginal_mode_hidden_from_performance(self):
         # Rigid-body-style zero eigenvalue invisible to z is handled by the
@@ -145,7 +145,7 @@ class TestStaticGains:
         plant = _scalar_plant(a=-1.0)
         module = static_gains([[-2.0]], [[0.0]], plant)
         assert module.is_static
-        assert module.as_statespace().n_states == 0
+        assert module.sys.n_states == 0
 
     def test_rejects_destabilizing(self):
         plant = _scalar_plant(a=-1.0)
@@ -168,7 +168,7 @@ class TestLqgModule:
             C=rng.standard_normal((2, n)),
         )
         module = lqg_module(plant)
-        K = module.as_statespace()
+        K = module.sys
         meas = np.vstack([plant.C, plant.Gamma])
         A_cl = np.block(
             [
@@ -182,7 +182,7 @@ class TestLqgModule:
 class TestModuleController:
     def test_static_roundtrip(self):
         m = ModuleController.from_static([[1.0, 2.0]], [[3.0]])
-        D = m.as_statespace().D
+        D = m.sys.D
         assert np.array_equal(D, np.array([[1.0, 2.0, 3.0]]))
 
     def test_dim_mismatch_rejected(self):
