@@ -1,8 +1,8 @@
 """Dense matrix computations shared by the rest of the library.
 
 Eigenvalue-based stability tests, matrix exponentials, the Bartels-Stewart
-Lyapunov solver, the Riccati solver, and the L-infinity / H-infinity norm via
-Hamiltonian bisection.
+Lyapunov solver, the Riccati solver, and the L-infinity / H-infinity norm by
+a level-set iteration with gain-witnessed imaginary-axis crossings.
 All routines operate on plain numpy arrays and are pure functions.
 """
 
@@ -21,6 +21,12 @@ __all__ = [
 
 # Relative threshold for treating an eigenvalue as lying on the imaginary axis.
 _IMAG_AXIS_TOL = 1e-9
+# Relative band, to 1 + |lambda|, for candidate crossings of a level's
+# Hamiltonian; candidates count only through evaluated gains.
+_CROSSING_BAND = 1e-4
+# Cap on the level tests of one norm; each confirmed test raises the bound
+# by more than the tolerance and convergence is quadratic.
+_MAX_LEVELS = 100
 
 
 class NumericsError(RuntimeError):
@@ -154,18 +160,26 @@ def _freq_gain(A, B, C, D, w):
     return float(np.linalg.svd(G, compute_uv=False)[0])
 
 
-def _imag_axis_crossings(A, B, C, D, gamma):
-    """Frequencies where the gamma-level Hamiltonian has imaginary-axis eigenvalues.
+def _gain_above(A, B, C, D, gamma):
+    """Largest evaluated gain strictly above ``gamma``, or ``None``.
 
-    Returns ``None`` when no eigenvalue lies on the axis, meaning
-    ``gamma`` is above the L-infinity norm.
+    Eigenvalues of the gamma-level Hamiltonian near the imaginary axis
+    mark the candidate frequencies where the gain crosses ``gamma``.  The
+    gain is evaluated at each candidate, at ``w = 0`` (the gain is even in
+    ``w``, so 0 closes the first interval) and at the midpoint between
+    adjacent ones: the peak between a crossing pair is the witness, since
+    the gain equals ``gamma`` at a crossing.  An evaluated gain cannot
+    produce a false crossing, so one wide band catches axis eigenvalues
+    that roundoff pushed off the axis.  ``None`` means ``gamma`` is above
+    the L-infinity norm.
     """
-    n = A.shape[0]
     m = D.shape[1]
     R = gamma**2 * np.eye(m) - D.T @ D
     # Guard: gamma must exceed the feedthrough gain for the test to make sense.
     if np.min(np.linalg.eigvalsh(R)) <= 0.0:
-        return np.array([0.0])
+        raise NumericsError(
+            f"level {gamma:.3e} does not exceed the feedthrough gain"
+        )
     Ri = np.linalg.inv(R)
     Ac = A + B @ Ri @ D.T @ C
     H = np.block(
@@ -175,35 +189,22 @@ def _imag_axis_crossings(A, B, C, D, gamma):
         ]
     )
     eigs = np.linalg.eigvals(H)
-    scale = 1.0 + np.abs(eigs)
-    on_axis = np.abs(eigs.real) <= 1e-10 * scale
-    if np.any(on_axis):
-        return np.abs(eigs[on_axis].imag)
-    # Roundoff on ill-conditioned realizations can push genuine axis
-    # eigenvalues out of the strict band.  Near-axis candidates count only
-    # when the gain strictly exceeds gamma somewhere among their
-    # frequencies and the midpoints between adjacent ones (the gain equals
-    # gamma exactly at a crossing, so the peak between a crossing pair is
-    # the reliable witness); actual gain evaluations cannot produce false
-    # crossings.
-    near = np.abs(eigs.real) <= 1e-7 * scale
-    if np.any(near):
-        freqs = np.sort(np.abs(eigs[near].imag))
-        cand = np.concatenate([freqs, 0.5 * (freqs[:-1] + freqs[1:])])
-        attained = np.array([_freq_gain(A, B, C, D, w) > gamma for w in cand])
-        if np.any(attained):
-            return cand[attained]
-    return None
+    near = np.abs(eigs.real) <= _CROSSING_BAND * (1.0 + np.abs(eigs))
+    freqs = np.unique(np.append(np.abs(eigs[near].imag), 0.0))
+    cand = np.concatenate([freqs, 0.5 * (freqs[:-1] + freqs[1:])])
+    best = max(_freq_gain(A, B, C, D, w) for w in cand)
+    return best if best > gamma else None
 
 
 def hinf_norm(sys, tol=1e-6):
     """L-infinity norm of an LTI system (H-infinity norm when stable).
 
-    Bisection on the candidate level ``gamma`` using the imaginary-axis
-    eigenvalue test on the associated Hamiltonian matrix; the lower bound
-    is tightened with direct gain evaluations at the detected crossing
-    frequencies, so convergence is fast and the returned level is anchored
-    to an actually attained gain.
+    Level-set iteration (Bruinsma & Steinbuch 1990; Boyd & Balakrishnan
+    1990): the lower bound ``lo`` is always an attained gain.  Each step
+    tests the level ``lo * (1 + tol)`` on its Hamiltonian matrix; a gain
+    above it found between the imaginary-axis crossings becomes the new
+    ``lo``, and convergence is quadratic.  When no gain exceeds the level,
+    the norm lies in ``[lo, lo * (1 + tol)]`` and the midpoint is returned.
 
     Parameters
     ----------
@@ -211,7 +212,7 @@ def hinf_norm(sys, tol=1e-6):
         State-space realization.  Must have no imaginary-axis poles
         (run a minimal realization first if needed).
     tol : float
-        Relative termination tolerance on the bisection bracket.
+        Relative width of the final bracket.
     """
     A = np.asarray(sys.A, dtype=float)
     B = np.asarray(sys.B, dtype=float)
@@ -240,35 +241,14 @@ def hinf_norm(sys, tol=1e-6):
     for w in probes:
         lo = max(lo, _freq_gain(A, B, C, D, w))
     if lo <= 1e-13:
-        # Possibly the zero system; confirm with the Hamiltonian test.
-        if _imag_axis_crossings(A, B, C, D, 1e-10) is None:
+        # Possibly the zero system; test a tiny level.
+        lo = _gain_above(A, B, C, D, 1e-10)
+        if lo is None:
             return 0.0
-        lo = 1e-10
 
-    # Find a certified upper bound.
-    hi = lo * 2.0
-    for _ in range(80):
-        freqs = _imag_axis_crossings(A, B, C, D, hi)
-        if freqs is None:
-            break
-        for w in freqs:
-            lo = max(lo, _freq_gain(A, B, C, D, w))
-        hi = max(hi * 2.0, lo * 2.0)
-    else:
-        raise NumericsError("failed to bracket the L-infinity norm")
-
-    while (hi - lo) > tol * lo:
-        mid = 0.5 * (lo + hi)
-        freqs = _imag_axis_crossings(A, B, C, D, mid)
-        if freqs is None:
-            hi = mid
-        else:
-            lo = mid
-            freqs = np.sort(freqs)
-            cand = list(freqs)
-            cand.extend(0.5 * (freqs[:-1] + freqs[1:]))
-            for w in cand:
-                lo = max(lo, _freq_gain(A, B, C, D, w))
-            if lo >= hi:
-                hi = lo * (1.0 + 1e-14)
-    return 0.5 * (lo + hi)
+    for _ in range(_MAX_LEVELS):
+        witness = _gain_above(A, B, C, D, lo * (1.0 + tol))
+        if witness is None:
+            return lo * (1.0 + 0.5 * tol)
+        lo = witness
+    raise NumericsError("level-set iteration for the L-infinity norm did not converge")
