@@ -31,7 +31,7 @@ def main():
         build_generalized_plant(new_subsystem(G, apx), alpha=0.2)
     )
 
-    casc = cascade_realization(G, env_min, apx, module, check=False)
+    casc = cascade_realization(G, env_min, apx, module)
     taps = casc.taps()
     dt, t_final = 0.02, 30.0
     n_steps = int(round(t_final / dt))

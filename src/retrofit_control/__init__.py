@@ -17,6 +17,7 @@ from .lti import (
     freq_response,
     minreal,
     negate,
+    select,
     select_channels,
     series,
     simulate,
@@ -45,7 +46,6 @@ from .retrofit import (
     PartitionedPlant,
     PerformanceReport,
     Rectifier,
-    RetrofitController,
     STABILITY_TOL,
     assemble_preexisting,
     cascade_realization,

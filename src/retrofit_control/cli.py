@@ -14,10 +14,11 @@ Subcommands:
 ``retrofit-ctl verify --config cfg.json [--fuzz-count N] [--seed S]``
     Runs the randomized invariant suite; nonzero exit on any failure.
 
-Configuration is a single versioned JSON document; the ``"paper-benchmark"``
-network preset encodes the 36-node oscillator benchmark.  The environment
-variable ``RETROFIT_CTL_THREADS`` caps sweep parallelism.  Outputs are
-byte-identical across reruns of the same config and seed.
+Configuration is a single versioned JSON document whose unknown keys are
+rejected; the ``"paper-benchmark"`` network preset encodes the 36-node
+oscillator benchmark.  The environment variable ``RETROFIT_CTL_THREADS``
+caps sweep parallelism.  Outputs are byte-identical across reruns of the
+same config and seed.
 """
 
 import argparse
@@ -77,8 +78,17 @@ DEFAULT_CONFIG = {
 }
 
 
+def _reject_unknown(keys, known, where):
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+
+
 def load_config(path):
-    """Read a JSON config, filling unspecified fields with defaults."""
+    """Read a JSON config, filling unspecified fields with defaults.
+
+    Unknown keys, at the top level or under ``simulate``, are rejected.
+    """
     cfg = dict(DEFAULT_CONFIG)
     cfg["simulate"] = dict(DEFAULT_CONFIG["simulate"])
     if path is not None:
@@ -86,7 +96,9 @@ def load_config(path):
             user = json.load(fh)
         if user.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
             raise ValueError(f"unsupported config schema {user.get('schema')}")
+        _reject_unknown(user, DEFAULT_CONFIG, "config")
         sim = user.pop("simulate", {})
+        _reject_unknown(sim, DEFAULT_CONFIG["simulate"], "simulate")
         cfg.update(user)
         cfg["simulate"].update(sim)
     if not cfg["kc_grid"] or not cfg["napx_grid"] or not cfg["alpha_grid"]:
@@ -301,7 +313,9 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
         header = ["t"] + [f"z_{i + 1}" for i in range(nz)]
         rows = np.column_stack([t, z])
     else:
-        casc = cascade_realization(G, env_min, apx, module, check=(mode == "retrofit"))
+        if mode == "retrofit":
+            compose_retrofit(module, extended_rectifier(G, apx))
+        casc = cascade_realization(G, env_min, apx, module)
         meta["stable"] = _deflated_stable(casc.T_zd)
         taps = casc.taps()
         y = simulate(casc.tapped, d, dt)

@@ -16,6 +16,7 @@ from .numerics import expm
 __all__ = [
     "StateSpace",
     "ChannelMap",
+    "select",
     "select_channels",
     "series",
     "add",
@@ -161,11 +162,21 @@ class ChannelMap:
         return np.concatenate(parts) if parts else np.array([], dtype=int)
 
 
+def select(sys, rows=None, cols=None):
+    """Subsystem keeping the output ``rows`` and input ``cols`` (all when ``None``)."""
+    B, C, D = sys.B, sys.C, sys.D
+    if rows is not None:
+        rows = _indices(rows, sys.n_outputs, "output")
+        C, D = C[rows, :], D[rows, :]
+    if cols is not None:
+        cols = _indices(cols, sys.n_inputs, "input")
+        B, D = B[:, cols], D[:, cols]
+    return StateSpace(sys.A, B, C, D)
+
+
 def select_channels(sys, cmap, ins, outs):
     """Subsystem restricted to the named input and output groups."""
-    ci = cmap.input_indices(*ins)
-    co = cmap.output_indices(*outs)
-    return StateSpace(sys.A, sys.B[:, ci], sys.C[co, :], sys.D[np.ix_(co, ci)])
+    return select(sys, cmap.output_indices(*outs), cmap.input_indices(*ins))
 
 
 def series(g1, g2):

@@ -231,13 +231,11 @@ def hinf_norm(sys, tol=1e-6):
 
     if B.size == 0 or C.size == 0:
         return float(np.linalg.svd(D, compute_uv=False)[0]) if D.size else 0.0
-    if n == 0:
-        return float(np.linalg.svd(D, compute_uv=False)[0])
 
     # Seed the lower bound with the feedthrough gain plus a few probe frequencies.
     probes = [0.0]
     probes.extend(np.abs(poles.imag[np.abs(poles.imag) > 1e-12]))
-    lo = float(np.linalg.svd(D, compute_uv=False)[0]) if D.size else 0.0
+    lo = float(np.linalg.svd(D, compute_uv=False)[0])
     for w in probes:
         lo = max(lo, _freq_gain(A, B, C, D, w))
     if lo <= 1e-13:

@@ -3,10 +3,13 @@
 A plant is split into a subsystem of interest and an environment acting
 through interconnection channels ``(v, w)``.  This module builds the
 preexisting interconnection, embeds an approximate environment model into
-an extended output rectifier, composes verified module controllers into
-retrofit controllers, and evaluates the resulting closed loop both
-directly and through its upstream/downstream cascade realization,
-including the performance bounds that sandwich the achieved norm.
+an extended output rectifier, and composes a verified module controller
+with it into a retrofit controller: a plain ``(y, w, v) -> u`` StateSpace.
+The closed loop is evaluated directly and as a cascade: the upstream block
+(the module-controlled design loop, output ``z_hat``) drives the downstream
+block (the preexisting dynamics under the modeling error, output
+``z_check``), ``z = z_hat + z_check``, and the norms of the two parts
+sandwich the achieved norm.
 """
 
 from dataclasses import dataclass
@@ -20,6 +23,7 @@ from .lti import (
     close_loop,
     freq_response,
     minreal,
+    select,
     select_channels,
     series,
 )
@@ -29,7 +33,6 @@ __all__ = [
     "PartitionedPlant",
     "EnvironmentModel",
     "Rectifier",
-    "RetrofitController",
     "PerformanceReport",
     "CascadeRealization",
     "assemble_preexisting",
@@ -187,15 +190,6 @@ class Rectifier:
 
 
 @dataclass(frozen=True)
-class RetrofitController:
-    """A module controller composed with its rectifier; maps ``(y, w, v) -> u``."""
-
-    rectifier: Rectifier
-    module: object
-    realized: StateSpace
-
-
-@dataclass(frozen=True)
 class PerformanceReport:
     """Achieved norm, bound components and stability verdict for one design."""
 
@@ -219,17 +213,20 @@ class CascadeRealization:
     """Upstream/downstream cascade equivalent of the closed loop.
 
     ``upstream`` maps ``d`` to ``(z_hat, w_hat)`` and carries the module
-    controller; ``downstream`` maps the upstream state to ``z_check``;
-    ``tapped`` stacks outputs ``(z, z_hat, z_check, w_hat)`` and ``T_zd``
-    is the plain ``d -> z`` closed loop.
+    controller; ``tapped`` is the whole cascade, the downstream block
+    driven by the upstream state, with outputs ``(z, z_hat, z_check,
+    w_hat)``.
     """
 
     upstream: StateSpace
-    downstream: StateSpace
     tapped: StateSpace
-    T_zd: StateSpace
     n_z: int
     n_w: int
+
+    @property
+    def T_zd(self):
+        """The plain ``d -> z`` closed loop: the ``z`` rows of ``tapped``."""
+        return select(self.tapped, self.taps()["z"])
 
     def taps(self):
         nz, nw = self.n_z, self.n_w
@@ -241,16 +238,11 @@ class CascadeRealization:
         }
 
 
-def _env_blocks(env):
-    s = env.sys
-    return s.A, s.B, s.C, s.D
-
-
 def _plant_with_env(G, env):
     """States ``(x, x_env)``, inputs ``(d, u)``, outputs ``(z, y, w, v)``."""
     env.check_dims(G)
     A, B_u, L, W, Gamma, S, C = G.A, G.B, G.L, G.W, G.Gamma, G.S, G.C
-    Ae, Be, Ce, De = _env_blocks(env)
+    Ae, Be, Ce, De = env.sys.A, env.sys.B, env.sys.C, env.sys.D
     n, ne = A.shape[0], Ae.shape[0]
     nd, nu = W.shape[1], B_u.shape[1]
 
@@ -273,27 +265,27 @@ def assemble_preexisting(G, env):
     """Close the environment loop ``v = env(w)``; inputs ``(d, u)``, outputs ``(z, y)``."""
     full = _plant_with_env(G, env)
     nzy = len(G.cmap.outputs["z"]) + len(G.cmap.outputs["y"])
-    return StateSpace(full.A, full.B, full.C[:nzy, :], full.D[:nzy, :])
+    return select(full, np.arange(nzy))
 
 
 _AXIS_TOL = 1e-9
 _HIDE_TOL = 1e-7
 
 
-def _split_marginal(sys, axis_tol, hide_tol):
-    """Decouple the modes with real part >= -axis_tol from the stable rest.
+def _split_marginal(sys):
+    """Decouple the modes with real part >= -_AXIS_TOL from the stable rest.
 
     Returns ``None`` when no such mode exists, otherwise the strictly
     stable remainder system (an ordered Schur form and a Sylvester solve
     make the split an exact similarity) and the real parts of the
     split-off modes that are both controllable and observable, relative
-    to the input/output coupling scale, above ``hide_tol``.
+    to the input/output coupling scale, above ``_HIDE_TOL``.
     """
     n = sys.n_states
     if n == 0:
         return None
     T, Z, k = scipy.linalg.schur(
-        sys.A, output="real", sort=lambda re, im: re >= -axis_tol
+        sys.A, output="real", sort=lambda re, im: re >= -_AXIS_TOL
     )
     if k == 0:
         return None
@@ -322,36 +314,39 @@ def _split_marginal(sys, axis_tol, hide_tol):
         w = Wl[i, :] / np.linalg.norm(Wl[i, :])
         obs = np.linalg.norm(C1 @ v) / scale_c
         ctr = np.linalg.norm(w @ B1) / scale_b
-        if obs > hide_tol and ctr > hide_tol:
+        if obs > _HIDE_TOL and ctr > _HIDE_TOL:
             visible.append(float(evals[i].real))
     return reduced, visible
 
 
-def deflated_abscissa(sys, axis_tol=_AXIS_TOL, hide_tol=_HIDE_TOL):
+def _deflate(sys):
+    """Deflated abscissa and hidden-mode-free system from one marginal split."""
+    split = _split_marginal(sys)
+    if split is None:
+        return spectral_abscissa(sys.A), sys
+    reduced, visible = split
+    abscissa = max([spectral_abscissa(reduced.A)] + visible)
+    return abscissa, (sys if visible else reduced)
+
+
+def deflated_abscissa(sys):
     """Spectral abscissa after excusing modes hidden from the i/o behavior.
 
-    Modes with real part >= ``-axis_tol`` are decoupled exactly and
-    excused when they are uncontrollable from the inputs or unobservable
-    from the outputs (relative measure below ``hide_tol``); the remaining
-    visible dynamics determine the verdict.
+    Modes with real part >= ``-1e-9`` are decoupled exactly and excused
+    when they are uncontrollable from the inputs or unobservable from the
+    outputs (relative measure below ``1e-7``); the remaining visible
+    dynamics determine the verdict.
     """
-    split = _split_marginal(sys, axis_tol, hide_tol)
-    if split is None:
-        return spectral_abscissa(sys.A)
-    reduced, visible = split
-    return max([spectral_abscissa(reduced.A)] + visible)
+    return _deflate(sys)[0]
 
 
-def deflate_hidden(sys, axis_tol=_AXIS_TOL, hide_tol=_HIDE_TOL):
+def deflate_hidden(sys):
     """Remove the marginal/unstable block when all its modes are hidden.
 
     Returns the input unchanged when some such mode genuinely appears in
     the i/o behavior (the system is then not norm-bounded anyway).
     """
-    split = _split_marginal(sys, axis_tol, hide_tol)
-    if split is None or split[1]:
-        return sys
-    return split[0]
+    return _deflate(sys)[1]
 
 
 def check_admissible(G, env, tol=STABILITY_TOL):
@@ -363,8 +358,7 @@ def check_admissible(G, env, tol=STABILITY_TOL):
     evaluation output cannot see.
     """
     full = _plant_with_env(G, env)
-    nz = len(G.cmap.outputs["z"])
-    dz = StateSpace(full.A, full.B, full.C[:nz, :], full.D[:nz, :])
+    dz = select(full, np.arange(len(G.cmap.outputs["z"])))
     return bool(deflated_abscissa(dz) < tol)
 
 
@@ -395,7 +389,7 @@ def extended_rectifier(G, apx):
     """
     apx.check_dims(G)
     A, B_u, L, Gamma, S, C = G.A, G.B, G.L, G.Gamma, G.S, G.C
-    Aa, Ba, Ca, Da = _env_blocks(apx)
+    Aa, Ba, Ca, Da = apx.sys.A, apx.sys.B, apx.sys.C, apx.sys.D
     n, na = A.shape[0], Aa.shape[0]
     ny, nw, nv = C.shape[0], Gamma.shape[0], L.shape[1]
 
@@ -418,104 +412,28 @@ def extended_rectifier(G, apx):
     return Rectifier(StateSpace(Ar, Br, Cr, Dr), G, apx)
 
 
-def _require_stabilizing(G, apx, module):
-    """Refuse a module that does not stabilize the rectified design plant."""
-    gplus = new_subsystem(G, apx)
-    design = select_channels(gplus.sys, gplus.cmap, ("u",), ("y", "w"))
-    closed = close_loop(
-        design,
-        module.sys,
-        np.arange(design.n_inputs),
-        np.arange(design.n_outputs),
-        keep_external=False,
-    )
-    abscissa = spectral_abscissa(closed.A)
-    if not abscissa < 0.0:
-        raise ValueError(
-            f"module controller does not stabilize the design plant "
-            f"(abscissa {abscissa:.3e})"
-        )
+def _design_loop(G, apx, module):
+    """The module-controlled design plant: the cascade's upstream block.
 
-
-def compose_retrofit(module, rect):
-    """Compose a verified module controller with its rectifier.
-
-    The module is verified against the rectified design plant (internal
-    stability of the loop with the embedded environment model); composition
-    is refused otherwise.  The realized controller maps ``(y, w, v) -> u``.
-    """
-    _require_stabilizing(rect.plant, rect.apx, module)
-    realized = series(rect.sys, module.sys)
-    return RetrofitController(rect, module, realized)
-
-
-def closed_loop_direct(G, env, K):
-    """Interconnect plant, environment and controller; returns ``T_zd``.
-
-    ``K`` is a :class:`RetrofitController` or any state-space controller
-    mapping ``(y, w, v) -> u``.  The returned system keeps the full closed
-    loop state; deflate with :func:`lti.minreal` before stability or norm
-    queries.
-    """
-    K_ss = K.realized if isinstance(K, RetrofitController) else K
-    plantE = _plant_with_env(G, env)
-    nz = len(G.cmap.outputs["z"])
-    nd = len(G.cmap.inputs["d"])
-    nu = len(G.cmap.inputs["u"])
-    n_meas = plantE.n_outputs - nz  # (y, w, v) rows
-    if K_ss.n_inputs != n_meas or K_ss.n_outputs != nu:
-        raise ValueError(
-            f"controller maps {K_ss.n_inputs} -> {K_ss.n_outputs}, expected "
-            f"{n_meas} -> {nu}"
-        )
-    closed = close_loop(
-        plantE,
-        K_ss,
-        in_idx=np.arange(nd, nd + nu),
-        out_idx=np.arange(nz, nz + n_meas),
-        keep_external=False,
-    )
-    return StateSpace(closed.A, closed.B, closed.C[:nz, :], closed.D[:nz, :])
-
-
-def direct_controller(G, module):
-    """Naive implementation ``u = module(y, w)`` without any rectifier.
-
-    Returns a ``(y, w, v) -> u`` controller that ignores ``v``; used as the
-    destabilization baseline against the retrofit composition.
-    """
-    ny = len(G.cmap.outputs["y"])
-    nw = len(G.cmap.outputs["w"])
-    nv = len(G.cmap.inputs["v"])
-    sel = np.hstack([np.eye(ny + nw), np.zeros((ny + nw, nv))])
-    return series(StateSpace.from_gain(sel), module.sys)
-
-
-def cascade_realization(G, env, apx, module, check=True):
-    """Equivalent cascade (upstream, downstream) form of the closed loop.
-
-    The upstream block carries the module-controlled design plant driven by
-    ``d``; the downstream block carries the preexisting dynamics driven by
-    the modeling-error coupling from the upstream state.  The evaluation
-    output decomposes as ``z = z_hat + z_check``.
+    States ``(xi_hat, x_apx, x_mod)``, input ``d``, outputs ``(z, w)``:
+    the subsystem in feedback with the approximate environment model and
+    with ``u = module(y, w)``.
     """
     apx.check_dims(G)
-    plantE = _plant_with_env(G, env)
     mod = module.sys
-    if check:
-        _require_stabilizing(G, apx, module)
-
     A, B_u, L, W, Gamma, S, C = G.A, G.B, G.L, G.W, G.Gamma, G.S, G.C
-    Aa, Ba, Ca, Da = _env_blocks(apx)
-    Be, De, ne = env.sys.B, env.sys.D, env.sys.n_states
+    Aa, Ba, Ca, Da = apx.sys.A, apx.sys.B, apx.sys.C, apx.sys.D
     n, na, nm = A.shape[0], Aa.shape[0], mod.n_states
     nz, nw, ny = S.shape[0], Gamma.shape[0], C.shape[0]
-    nd = W.shape[1]
+    nd, nu = W.shape[1], B_u.shape[1]
+    if mod.n_inputs != ny + nw or mod.n_outputs != nu:
+        raise ValueError(
+            f"module maps {mod.n_inputs} -> {mod.n_outputs}, design plant "
+            f"needs (y, w) -> u = {ny + nw} -> {nu}"
+        )
 
     Dmy, Dmw = mod.D[:, :ny], mod.D[:, ny:]
     Bmy, Bmw = mod.B[:, :ny], mod.B[:, ny:]
-
-    # Upstream states (xi_hat, x_apx, x_mod), input d.
     A_up = np.block(
         [
             [
@@ -534,38 +452,123 @@ def cascade_realization(G, env, apx, module, check=True):
             [Gamma, np.zeros((nw, na + nm))],
         ]
     )
-    upstream = StateSpace(A_up, B_up, C_up)
+    return StateSpace(A_up, B_up, C_up)
 
-    # Downstream states (xi_check, x_env), inputs (xi_hat, x_apx).
-    A_dn = plantE.A
+
+def compose_retrofit(module, rect):
+    """Compose a verified module controller with its rectifier.
+
+    The module is verified against the rectified design plant (internal
+    stability of the loop with the embedded environment model); composition
+    is refused otherwise.  Returns the retrofit controller as a
+    ``(y, w, v) -> u`` :class:`StateSpace`.
+    """
+    abscissa = spectral_abscissa(_design_loop(rect.plant, rect.apx, module).A)
+    if not abscissa < 0.0:
+        raise ValueError(
+            f"module controller does not stabilize the design plant "
+            f"(abscissa {abscissa:.3e})"
+        )
+    return series(rect.sys, module.sys)
+
+
+def closed_loop_direct(G, env, K):
+    """Interconnect plant, environment and controller; returns ``T_zd``.
+
+    ``K`` is any state-space controller mapping ``(y, w, v) -> u``, such
+    as the result of :func:`compose_retrofit` or :func:`direct_controller`.
+    The returned system keeps the full closed-loop state; deflate with
+    :func:`lti.minreal` before stability or norm queries.
+    """
+    plantE = _plant_with_env(G, env)
+    nz = len(G.cmap.outputs["z"])
+    nd = len(G.cmap.inputs["d"])
+    nu = len(G.cmap.inputs["u"])
+    n_meas = plantE.n_outputs - nz  # (y, w, v) rows
+    if K.n_inputs != n_meas or K.n_outputs != nu:
+        raise ValueError(
+            f"controller maps {K.n_inputs} -> {K.n_outputs}, expected "
+            f"{n_meas} -> {nu}"
+        )
+    closed = close_loop(
+        plantE,
+        K,
+        in_idx=np.arange(nd, nd + nu),
+        out_idx=np.arange(nz, nz + n_meas),
+        keep_external=False,
+    )
+    return select(closed, np.arange(nz))
+
+
+def direct_controller(G, module):
+    """Naive implementation ``u = module(y, w)`` without any rectifier.
+
+    Returns a ``(y, w, v) -> u`` controller that ignores ``v``; used as the
+    destabilization baseline against the retrofit composition.
+    """
+    ny = len(G.cmap.outputs["y"])
+    nw = len(G.cmap.outputs["w"])
+    nv = len(G.cmap.inputs["v"])
+    sel = np.hstack([np.eye(ny + nw), np.zeros((ny + nw, nv))])
+    return series(StateSpace.from_gain(sel), module.sys)
+
+
+def cascade_realization(G, env, apx, module):
+    """Equivalent cascade form of the closed loop under the retrofit controller.
+
+    The upstream block is the module-controlled design plant driven by
+    ``d``, with output ``z_hat``.  The downstream block carries the
+    preexisting dynamics (plant and true environment), driven from the
+    upstream state through the modeling-error coupling, with output
+    ``z_check``; ``z = z_hat + z_check``.  The module is not checked here:
+    :func:`compose_retrofit` refuses one that does not stabilize the design
+    plant.
+    """
+    upstream = _design_loop(G, apx, module)
+    plantE = _plant_with_env(G, env)
+    L, Gamma = G.L, G.Gamma
+    Ca, Da, na = apx.sys.C, apx.sys.D, apx.sys.n_states
+    Be, De, ne = env.sys.B, env.sys.D, env.sys.n_states
+    n, nm = G.A.shape[0], module.sys.n_states
+    nz, nw, nd = G.S.shape[0], Gamma.shape[0], G.W.shape[1]
+
+    # Downstream states (xi_check, x_env), driven by (xi_hat, x_apx).
     B_dn = np.block(
         [[L @ (De - Da) @ Gamma, -L @ Ca], [Be @ Gamma, np.zeros((ne, na))]]
     )
     Sz_dn = plantE.C[:nz, :]
-    downstream = StateSpace(A_dn, B_dn, Sz_dn)
 
     # Combined realization with taps (z, z_hat, z_check, w_hat).
     n_up = n + na + nm
     n_dn = n + ne
     A_all = np.block(
         [
-            [A_up, np.zeros((n_up, n_dn))],
-            [B_dn @ np.hstack([np.eye(n + na), np.zeros((n + na, nm))]), A_dn],
+            [upstream.A, np.zeros((n_up, n_dn))],
+            [B_dn @ np.hstack([np.eye(n + na), np.zeros((n + na, nm))]), plantE.A],
         ]
     ) if n_up + n_dn else np.zeros((0, 0))
-    B_all = np.vstack([B_up, np.zeros((n_dn, nd))])
-    Sz_up = C_up[:nz, :]
+    B_all = np.vstack([upstream.B, np.zeros((n_dn, nd))])
+    Sz_up = upstream.C[:nz, :]
     C_all = np.block(
         [
             [Sz_up, Sz_dn],
             [Sz_up, np.zeros((nz, n_dn))],
             [np.zeros((nz, n_up)), Sz_dn],
-            [C_up[nz:, :], np.zeros((nw, n_dn))],
+            [upstream.C[nz:, :], np.zeros((nw, n_dn))],
         ]
     )
-    tapped = StateSpace(A_all, B_all, C_all)
-    T_zd = StateSpace(A_all, B_all, C_all[:nz, :])
-    return CascadeRealization(upstream, downstream, tapped, T_zd, nz, nw)
+    return CascadeRealization(upstream, StateSpace(A_all, B_all, C_all), nz, nw)
+
+
+def _measured(G):
+    """``G`` with outputs ``(y, w, v)``; ``v`` is measured through a feedthrough copy."""
+    s, rows, v = G.sys, G.cmap.output_indices("y", "w"), G.cmap.inputs["v"]
+    return StateSpace(
+        s.A,
+        s.B,
+        np.vstack([s.C[rows, :], np.zeros((len(v), s.n_states))]),
+        np.vstack([s.D[rows, :], np.eye(s.n_inputs)[v, :]]),
+    )
 
 
 def invariance_residual(G, K, grid=None):
@@ -577,41 +580,18 @@ def invariance_residual(G, K, grid=None):
     frequency by the open map's gain so strongly coupled networks are not
     penalized for sheer scale.
     """
-    K_ss = K.realized if isinstance(K, RetrofitController) else K
     if grid is None:
         grid = default_frequency_grid()
-    nv = len(G.cmap.inputs["v"])
-    nu = len(G.cmap.inputs["u"])
-
-    # Augment with a feedthrough copy of v so the controller can measure it.
-    sysa = StateSpace(
-        G.sys.A,
-        G.sys.B,
-        np.vstack([G.sys.C, np.zeros((nv, G.sys.n_states))]),
-        np.vstack(
-            [
-                G.sys.D,
-                np.eye(G.sys.n_inputs)[G.cmap.inputs["v"], :],
-            ]
-        ),
+    meas = _measured(G)
+    closed = close_loop(
+        meas, K, G.cmap.inputs["u"], np.arange(meas.n_outputs), keep_external=False
     )
-    v_copy = np.arange(G.sys.n_outputs, G.sys.n_outputs + nv)
-    meas = np.concatenate(
-        [G.cmap.outputs["y"], G.cmap.outputs["w"], v_copy]
-    )
-    if K_ss.n_inputs != len(meas) or K_ss.n_outputs != nu:
-        raise ValueError("controller must map (y, w, v) -> u")
-    closed = close_loop(sysa, K_ss, G.cmap.inputs["u"], meas, keep_external=False)
 
     other = np.setdiff1d(np.arange(G.sys.n_inputs), G.cmap.inputs["u"])
     pos = {orig: k for k, orig in enumerate(other)}
     v_cols = [pos[i] for i in G.cmap.inputs["v"]]
-    gwv_closed = StateSpace(
-        closed.A,
-        closed.B[:, v_cols],
-        closed.C[G.cmap.outputs["w"], :],
-        closed.D[np.ix_(G.cmap.outputs["w"], v_cols)],
-    )
+    ny, nw = len(G.cmap.outputs["y"]), len(G.cmap.outputs["w"])
+    gwv_closed = select(closed, np.arange(ny, ny + nw), v_cols)
     gwv_open = select_channels(G.sys, G.cmap, ("v",), ("w",))
 
     ref = freq_response(gwv_open, grid)
@@ -630,23 +610,7 @@ def kernel_residual(G, rect, grid=None):
     """
     if grid is None:
         grid = default_frequency_grid()
-    nv = len(G.cmap.inputs["v"])
-    # v -> (y, w, v): shared dynamics driven by v, identity feedthrough on v.
-    rows_y = G.cmap.outputs["y"]
-    rows_w = G.cmap.outputs["w"]
-    gy = StateSpace(
-        G.sys.A,
-        G.sys.B[:, G.cmap.inputs["v"]],
-        np.vstack(
-            [G.sys.C[rows_y, :], G.sys.C[rows_w, :], np.zeros((nv, G.sys.n_states))]
-        ),
-        np.vstack(
-            [
-                np.zeros((len(rows_y) + len(rows_w), nv)),
-                np.eye(nv),
-            ]
-        ),
-    )
+    gy = select(_measured(G), cols=G.cmap.inputs["v"])
     val = freq_response(rect.sys, grid) @ freq_response(gy, grid)
     return float(np.max(np.linalg.svd(val, compute_uv=False)[:, 0]))
 
@@ -661,29 +625,20 @@ def performance_bounds(G, env, apx, module, norm_tol=1e-8):
     of a bracket of relative width ``norm_tol`` whose lower end is an
     attained gain.
     """
-    casc = cascade_realization(G, env, apx, module, check=False)
-    rect = extended_rectifier(G, apx)
-    K = series(rect.sys, module.sys)
+    casc = cascade_realization(G, env, apx, module)
+    K = series(extended_rectifier(G, apx).sys, module.sys)
     residual = invariance_residual(G, K)
 
-    if not deflated_abscissa(casc.T_zd) < STABILITY_TOL:
+    abscissa, tz = _deflate(casc.T_zd)
+    if not abscissa < STABILITY_TOL:
         return PerformanceReport(np.nan, np.nan, np.nan, False, residual)
-    tz_min = minreal(deflate_hidden(casc.T_zd))
 
-    taps = casc.taps()
-    nz = casc.n_z
-    up_hat = minreal(
-        StateSpace(casc.upstream.A, casc.upstream.B, casc.upstream.C[:nz, :])
-    )
-    zc = casc.tapped
-    down_check = minreal(
-        deflate_hidden(StateSpace(zc.A, zc.B, zc.C[taps["z_check"], :]))
-    )
-
+    up_hat = select(casc.upstream, np.arange(casc.n_z))
+    down_check = deflate_hidden(select(casc.tapped, casc.taps()["z_check"]))
     return PerformanceReport(
-        hinf_norm(tz_min, tol=norm_tol),
-        hinf_norm(up_hat, tol=norm_tol),
-        hinf_norm(down_check, tol=norm_tol),
+        hinf_norm(minreal(tz), tol=norm_tol),
+        hinf_norm(minreal(up_hat), tol=norm_tol),
+        hinf_norm(minreal(down_check), tol=norm_tol),
         True,
         residual,
     )

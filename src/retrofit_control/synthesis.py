@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import StateSpace, close_loop, minreal, select_channels
+from .lti import StateSpace, close_loop, minreal, select, select_channels
 from .numerics import NumericsError, hinf_norm, solve_care, solve_riccati, spectral_abscissa
 
 __all__ = [
@@ -192,7 +192,7 @@ def _closed_loop(gp, K):
         out_idx=np.arange(nperf, nperf + gp.n_meas),
         keep_external=False,
     )
-    return StateSpace(closed.A, closed.B, closed.C[:nperf, :], closed.D[:nperf, :])
+    return select(closed, np.arange(nperf))
 
 
 def _design_shift(gp):

@@ -295,12 +295,14 @@ def run_all_checks(seed=0, fuzz_count=None, mangle_rectifier=None):
     """Run the full invariant suite; returns the list of results.
 
     ``fuzz_count`` scales the randomized sample sizes (0 keeps only the
-    deterministic matrix-identity checks); ``mangle_rectifier`` is a
-    mutation hook applied inside the kernel check.
+    deterministic matrix-identity checks; negative counts are rejected);
+    ``mangle_rectifier`` is a mutation hook applied inside the kernel check.
     """
-    results = [check_matrix_identities(seed=seed)]
     if fuzz_count is None:
         fuzz_count = 50
+    if fuzz_count < 0:
+        raise ValueError(f"fuzz_count must be nonnegative, got {fuzz_count}")
+    results = [check_matrix_identities(seed=seed)]
     if fuzz_count > 0:
         n_env = max(1, fuzz_count)
         results.append(

@@ -7,11 +7,14 @@ against the additivity of the evaluation signal.
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from retrofit_control.cli import load_config
 
 CLI = [sys.executable, "-m", "retrofit_control.cli"]
 
@@ -111,6 +114,49 @@ class TestSweep:
         )
         assert proc.returncode != 0
 
+    def test_unknown_key_rejected(self, tmp_path):
+        # A misspelled grid must not silently run the default 88-row grid.
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"schema": 1, "kc_gird": [3]}))
+        proc = _run(
+            "sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            check=False,
+        )
+        assert proc.returncode != 0
+        assert "kc_gird" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_simulate_key_rejected(self, tmp_path):
+        cfg = _write_cfg(tmp_path / "cfg.json", simulate={"t_fnal": 5.0})
+        with pytest.raises(ValueError, match="t_fnal"):
+            load_config(str(cfg))
+
+    def test_known_keys_load(self, tmp_path):
+        cfg = _write_cfg(tmp_path / "cfg.json", seed=6, eps=1e-4, gamma_tol=1e-3,
+                         norm_tol=1e-8, network="paper-benchmark")
+        loaded = load_config(str(cfg))
+        assert loaded["kc_grid"] == [3]
+        assert loaded["simulate"] == {"t_final": 5.0, "dt": 0.02}
+
+    def test_rows_independent_of_thread_count(self, tmp_path):
+        # Four rows, the small control weight among them: the CSVs must not
+        # depend on how many sweep workers share the grid.
+        cfg = _write_cfg(tmp_path / "cfg.json", napx_grid=[0, 2],
+                         alpha_grid=[0.2, 0.01])
+        outs = {}
+        for threads in ("1", "2"):
+            outs[threads] = tmp_path / f"t{threads}"
+            proc = subprocess.run(
+                CLI + ["sweep", "--config", str(cfg), "--out", str(outs[threads])],
+                capture_output=True, text=True,
+                env={**os.environ, "RETROFIT_CTL_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(open(outs["1"] / "performance.csv")))
+        assert len(rows) == 4
+        for name in ("errors.csv", "performance.csv"):
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
 
 class TestSimulate:
     def test_retrofit_tap_additivity(self, simulated):
@@ -170,6 +216,21 @@ class TestVerify:
             l.startswith("FAIL") for l in proc.stdout.splitlines()
         )
         assert (tmp_path / "verify_failures.json").exists()
+
+    def test_negative_fuzz_count_rejected(self, tmp_path):
+        proc = _run(
+            "verify", "--fuzz-count", "-5", "--seed", "0",
+            "--out", str(tmp_path), check=False,
+        )
+        assert proc.returncode != 0
+        assert "checks passed" not in proc.stdout
+        assert "fuzz_count" in proc.stderr
+
+    def test_zero_fuzz_count_runs_matrix_identities_only(self, tmp_path):
+        proc = _run(
+            "verify", "--fuzz-count", "0", "--seed", "0", "--out", str(tmp_path),
+        )
+        assert proc.stdout.splitlines()[-1] == "all 1 checks passed"
 
     def test_unknown_sabotage_rejected(self, tmp_path):
         # A misspelled mutation must not silently run the unsabotaged suite.

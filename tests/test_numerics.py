@@ -105,7 +105,7 @@ def _gamma_check_system(k_c, n_apx, alpha, seed):
     env = EnvironmentModel(minreal(env.sys))
     apx = EnvironmentModel(balanced_truncate(env.sys, n_apx).reduced)
     module, _ = hinf_synthesize(build_generalized_plant(new_subsystem(G, apx), alpha))
-    casc = cascade_realization(G, env, apx, module, check=False)
+    casc = cascade_realization(G, env, apx, module)
     zc = casc.tapped
     rows = casc.taps()["z_check"]
     return minreal(deflate_hidden(StateSpace(zc.A, zc.B, zc.C[rows, :])))

@@ -11,11 +11,13 @@ import pytest
 
 from retrofit_control import (
     EnvironmentModel,
+    NumericsError,
     PartitionedPlant,
     StateSpace,
     assemble_preexisting,
     cascade_realization,
     check_admissible,
+    close_loop,
     closed_loop_direct,
     compose_retrofit,
     default_frequency_grid,
@@ -31,6 +33,7 @@ from retrofit_control import (
     minreal,
     new_subsystem,
     performance_bounds,
+    select_channels,
     spectral_abscissa,
 )
 from retrofit_control import ModuleController, add, negate
@@ -191,7 +194,7 @@ class TestRetrofitComposition:
         apx = random_apx(rng, G)
         module = lqg_module(new_subsystem(G, apx))
         K = compose_retrofit(module, extended_rectifier(G, apx))
-        assert invariance_residual(G, K.realized) < 1e-8
+        assert invariance_residual(G, K) < 1e-8
 
     def test_invariance_residual_large_for_direct(self):
         from retrofit_control import paper_benchmark, build_network, partition
@@ -216,7 +219,7 @@ class TestRetrofitComposition:
         gain = np.hstack([Ky, Kw])
         for w in 10.0 ** rng.uniform(-2, 2, size=20):
             ref = gain @ freq_response(rect.sys, w)
-            assert np.abs(freq_response(K.realized, w) - ref).max() < 1e-10
+            assert np.abs(freq_response(K, w) - ref).max() < 1e-10
 
     def test_destabilizing_module_rejected(self):
         G, _ = _plant(seed=11)
@@ -233,6 +236,35 @@ class TestRetrofitComposition:
                     compose_retrofit(bad, rect)
                 return
         pytest.fail("no destabilizing static gain found for this plant")
+
+
+class TestDesignLoop:
+    def test_upstream_is_the_closed_design_loop(self):
+        # The cascade's upstream block equals the module closed around the
+        # design plant by close_loop, state for state.
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            G = random_partitioned_plant(rng)
+            env = random_admissible_env(rng, G)
+            apx = random_apx(rng, G)
+            gplus = new_subsystem(G, apx)
+            try:
+                module = lqg_module(gplus)
+            except NumericsError:
+                continue
+            design = select_channels(gplus.sys, gplus.cmap, ("u",), ("y", "w"))
+            ref = close_loop(design, module.sys, np.arange(design.n_inputs),
+                             np.arange(design.n_outputs))
+            up = cascade_realization(G, env, apx, module).upstream
+            assert np.abs(up.A - ref.A).max() <= 1e-12 * max(1.0, np.abs(ref.A).max())
+
+    def test_wrong_size_module_rejected(self):
+        G, _ = _plant(seed=18)
+        nv = len(G.cmap.inputs["v"])
+        rect = extended_rectifier(G, EnvironmentModel.zero(nv, nv))
+        bad = ModuleController.from_static(np.zeros((2, 3)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="module maps 5 -> 2"):
+            compose_retrofit(bad, rect)
 
 
 class TestCascade:
