@@ -37,7 +37,7 @@ def main():
     nv = len(G.cmap.inputs["v"])
     apx = EnvironmentModel.zero(nv, nv)
     rect = extended_rectifier(G, apx)
-    print(f"rectifier: {rect.sys.n_states} states, "
+    print(f"rectifier: {rect.n_states} states, "
           f"maps (y, w, v) -> rectified (y, w)")
 
     # The defining property: the environment-induced component of the

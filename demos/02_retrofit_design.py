@@ -17,7 +17,6 @@ from retrofit_control import (
     compose_retrofit,
     deflated_abscissa,
     direct_controller,
-    extended_rectifier,
     hinf_synthesize,
     minreal,
     new_subsystem,
@@ -43,10 +42,10 @@ def main():
     design_plant = new_subsystem(G, apx)
     gp = build_generalized_plant(design_plant, alpha=0.2)
     module, level = hinf_synthesize(gp)
-    print(f"module controller: {module.sys.n_states} states, "
+    print(f"module controller: {module.n_states} states, "
           f"design level {level:.4f}")
 
-    K = compose_retrofit(module, extended_rectifier(G, apx))
+    K = compose_retrofit(G, apx, module)
     report = performance_bounds(G, env_min, apx, module)
     print(f"retrofit closed loop stable: {report.stable}")
     print(f"achieved ||T_zd|| = {report.gamma_actual:.4f} in "

@@ -45,7 +45,6 @@ from .retrofit import (
     EnvironmentModel,
     PartitionedPlant,
     PerformanceReport,
-    Rectifier,
     STABILITY_TOL,
     assemble_preexisting,
     cascade_realization,
@@ -64,7 +63,6 @@ from .retrofit import (
 )
 from .synthesis import (
     GeneralizedPlant,
-    ModuleController,
     SynthesisError,
     build_generalized_plant,
     hinf_synthesize,

@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .lti import add, minreal, negate, simulate
+from .lti import StateSpace, add, minreal, negate, simulate
 from .numerics import NumericsError, hinf_norm
 from .oscnet import (
     BENCHMARK_SEED,
@@ -49,13 +49,11 @@ from .retrofit import (
     compose_retrofit,
     deflated_abscissa,
     direct_controller,
-    extended_rectifier,
     new_subsystem,
     performance_bounds,
 )
 from .synthesis import (
     DEFAULT_NOISE_SCALE,
-    ModuleController,
     SynthesisError,
     build_generalized_plant,
     hinf_synthesize,
@@ -84,10 +82,17 @@ def _reject_unknown(keys, known, where):
         raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def load_config(path):
     """Read a JSON config, filling unspecified fields with defaults.
 
-    Unknown keys, at the top level or under ``simulate``, are rejected.
+    Unknown keys, at the top level or under ``simulate``, are rejected, and
+    so are grids that are not nonempty lists of numbers, a ``simulate``
+    that is not an object with numeric ``dt`` and ``t_final``, and an
+    ``eps`` that is not a number > 0; each error names the key.
     """
     cfg = dict(DEFAULT_CONFIG)
     cfg["simulate"] = dict(DEFAULT_CONFIG["simulate"])
@@ -98,11 +103,20 @@ def load_config(path):
             raise ValueError(f"unsupported config schema {user.get('schema')}")
         _reject_unknown(user, DEFAULT_CONFIG, "config")
         sim = user.pop("simulate", {})
+        if not isinstance(sim, dict):
+            raise ValueError(f"simulate must be an object, got {sim!r}")
         _reject_unknown(sim, DEFAULT_CONFIG["simulate"], "simulate")
         cfg.update(user)
         cfg["simulate"].update(sim)
-    if not cfg["kc_grid"] or not cfg["napx_grid"] or not cfg["alpha_grid"]:
-        raise ValueError("kc_grid, napx_grid and alpha_grid must be nonempty")
+    for key in ("kc_grid", "napx_grid", "alpha_grid"):
+        grid = cfg[key]
+        if not (isinstance(grid, list) and grid and all(map(_is_number, grid))):
+            raise ValueError(f"{key} must be a nonempty list of numbers, got {grid!r}")
+    for key in ("dt", "t_final"):
+        if not _is_number(cfg["simulate"][key]):
+            raise ValueError(f"simulate {key} must be a number")
+    if not (_is_number(cfg["eps"]) and cfg["eps"] > 0):
+        raise ValueError(f"eps must be a number > 0, got {cfg['eps']!r}")
     return cfg
 
 
@@ -162,7 +176,7 @@ def _environment_setup(cfg, k_c):
 
 def _apx_for(env_min, napx):
     nv, nw = env_min.sys.n_outputs, env_min.sys.n_inputs
-    if napx is None or napx == 0:
+    if napx == 0:
         return EnvironmentModel.zero(nv, nw)
     r = min(int(napx), env_min.sys.n_states)
     return EnvironmentModel(balanced_truncate(env_min.sys, r).reduced)
@@ -193,7 +207,7 @@ def _sweep_point(cfg, G, env_min, apx, merr, k_c, napx, alpha):
             [k_c, napx, alpha, merr, np.nan, np.nan, np.nan, False, False, np.nan],
             f"synthesis failed at kc={k_c} napx={napx} alpha={alpha}: {exc}",
         )
-    compose_retrofit(module, extended_rectifier(G, apx))
+    compose_retrofit(G, apx, module)
     report = performance_bounds(G, env_min, apx, module, norm_tol=cfg["norm_tol"])
     direct = closed_loop_direct(G, env_min, direct_controller(G, module))
     row = [
@@ -214,7 +228,7 @@ def _sweep_point(cfg, G, env_min, apx, merr, k_c, napx, alpha):
 def cmd_sweep(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     kc_grid = cfg["kc_grid"]
-    napx_grid = [0 if n is None else int(n) for n in cfg["napx_grid"]]
+    napx_grid = [int(n) for n in cfg["napx_grid"]]
     alpha_grid = cfg["alpha_grid"]
 
     setups = {k_c: _environment_setup(cfg, k_c) for k_c in kc_grid}
@@ -296,10 +310,7 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
     if mode in ("retrofit", "direct"):
         module, meta["achieved_gamma"] = _design_module(G, apx, alpha, cfg)
     elif mode == "none":
-        module = ModuleController.from_static(
-            np.zeros((len(G.cmap.inputs["u"]), ny)),
-            np.zeros((len(G.cmap.inputs["u"]), nw)),
-        )
+        module = StateSpace.zero(len(G.cmap.inputs["u"]), ny + nw)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -314,7 +325,7 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
         rows = np.column_stack([t, z])
     else:
         if mode == "retrofit":
-            compose_retrofit(module, extended_rectifier(G, apx))
+            compose_retrofit(G, apx, module)
         casc = cascade_realization(G, env_min, apx, module)
         meta["stable"] = _deflated_stable(casc.T_zd)
         taps = casc.taps()

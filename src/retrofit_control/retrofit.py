@@ -32,7 +32,6 @@ from .numerics import hinf_norm, spectral_abscissa
 __all__ = [
     "PartitionedPlant",
     "EnvironmentModel",
-    "Rectifier",
     "PerformanceReport",
     "CascadeRealization",
     "assemble_preexisting",
@@ -173,20 +172,6 @@ class EnvironmentModel:
                 f"environment maps {self.sys.n_inputs} -> {self.sys.n_outputs}, "
                 f"plant expects {nw} -> {nv}"
             )
-
-
-@dataclass(frozen=True)
-class Rectifier:
-    """Extended output rectifier ``(y, w, v) -> (y_hat, w_hat)``.
-
-    The internal model state mirrors the plant state plus the approximate
-    environment state; with a zero model the rectified outputs reduce to
-    ``y - G_yv v`` and ``w - G_wv v``.
-    """
-
-    sys: StateSpace
-    plant: PartitionedPlant
-    apx: EnvironmentModel
 
 
 @dataclass(frozen=True)
@@ -383,9 +368,10 @@ def new_subsystem(G, apx):
 def extended_rectifier(G, apx):
     """Realize the extended output rectifier embedding the environment model.
 
-    Internal dynamics ``x_hat' = A x_hat + L (v - apx(w - Gamma x_hat))``
-    with rectified outputs ``y_hat = y - C x_hat`` and
-    ``w_hat = w - Gamma x_hat``.
+    Returns the ``(y, w, v) -> (y_hat, w_hat)`` StateSpace with internal
+    dynamics ``x_hat' = A x_hat + L (v - apx(w - Gamma x_hat))`` and
+    rectified outputs ``y_hat = y - C x_hat`` and ``w_hat = w - Gamma x_hat``;
+    its state is the plant state stacked over the model state.
     """
     apx.check_dims(G)
     A, B_u, L, Gamma, S, C = G.A, G.B, G.L, G.Gamma, G.S, G.C
@@ -409,18 +395,17 @@ def extended_rectifier(G, apx):
             [np.zeros((nw, ny)), np.eye(nw), np.zeros((nw, nv))],
         ]
     )
-    return Rectifier(StateSpace(Ar, Br, Cr, Dr), G, apx)
+    return StateSpace(Ar, Br, Cr, Dr)
 
 
-def _design_loop(G, apx, module):
+def _design_loop(G, apx, mod):
     """The module-controlled design plant: the cascade's upstream block.
 
     States ``(xi_hat, x_apx, x_mod)``, input ``d``, outputs ``(z, w)``:
     the subsystem in feedback with the approximate environment model and
-    with ``u = module(y, w)``.
+    with ``u = mod(y, w)``.
     """
     apx.check_dims(G)
-    mod = module.sys
     A, B_u, L, W, Gamma, S, C = G.A, G.B, G.L, G.W, G.Gamma, G.S, G.C
     Aa, Ba, Ca, Da = apx.sys.A, apx.sys.B, apx.sys.C, apx.sys.D
     n, na, nm = A.shape[0], Aa.shape[0], mod.n_states
@@ -455,21 +440,22 @@ def _design_loop(G, apx, module):
     return StateSpace(A_up, B_up, C_up)
 
 
-def compose_retrofit(module, rect):
-    """Compose a verified module controller with its rectifier.
+def compose_retrofit(G, apx, module):
+    """Compose a verified module controller with the extended rectifier.
 
-    The module is verified against the rectified design plant (internal
-    stability of the loop with the embedded environment model); composition
-    is refused otherwise.  Returns the retrofit controller as a
-    ``(y, w, v) -> u`` :class:`StateSpace`.
+    The ``(y, w) -> u`` module is verified against the rectified design
+    plant (internal stability of the loop with the embedded environment
+    model ``apx``); composition is refused otherwise.  Returns the retrofit
+    controller, the module in series with ``extended_rectifier(G, apx)``, as
+    a ``(y, w, v) -> u`` :class:`StateSpace`.
     """
-    abscissa = spectral_abscissa(_design_loop(rect.plant, rect.apx, module).A)
+    abscissa = spectral_abscissa(_design_loop(G, apx, module).A)
     if not abscissa < 0.0:
         raise ValueError(
             f"module controller does not stabilize the design plant "
             f"(abscissa {abscissa:.3e})"
         )
-    return series(rect.sys, module.sys)
+    return series(extended_rectifier(G, apx), module)
 
 
 def closed_loop_direct(G, env, K):
@@ -510,7 +496,7 @@ def direct_controller(G, module):
     nw = len(G.cmap.outputs["w"])
     nv = len(G.cmap.inputs["v"])
     sel = np.hstack([np.eye(ny + nw), np.zeros((ny + nw, nv))])
-    return series(StateSpace.from_gain(sel), module.sys)
+    return series(StateSpace.from_gain(sel), module)
 
 
 def cascade_realization(G, env, apx, module):
@@ -529,7 +515,7 @@ def cascade_realization(G, env, apx, module):
     L, Gamma = G.L, G.Gamma
     Ca, Da, na = apx.sys.C, apx.sys.D, apx.sys.n_states
     Be, De, ne = env.sys.B, env.sys.D, env.sys.n_states
-    n, nm = G.A.shape[0], module.sys.n_states
+    n, nm = G.A.shape[0], module.n_states
     nz, nw, nd = G.S.shape[0], Gamma.shape[0], G.W.shape[1]
 
     # Downstream states (xi_check, x_env), driven by (xi_hat, x_apx).
@@ -605,13 +591,14 @@ def invariance_residual(G, K, grid=None):
 def kernel_residual(G, rect, grid=None):
     """Max over the grid of ``||(XR)(jw) G_(y,w,v)v(jw)||``.
 
-    The rectifier annihilates every environment-induced component of the
+    ``rect`` is a ``(y, w, v) -> (y_hat, w_hat)`` rectifier of ``G``.  The
+    rectifier annihilates every environment-induced component of the
     measurements, so this is zero for any correctly built rectifier.
     """
     if grid is None:
         grid = default_frequency_grid()
     gy = select(_measured(G), cols=G.cmap.inputs["v"])
-    val = freq_response(rect.sys, grid) @ freq_response(gy, grid)
+    val = freq_response(rect, grid) @ freq_response(gy, grid)
     return float(np.max(np.linalg.svd(val, compute_uv=False)[:, 0]))
 
 
@@ -626,7 +613,7 @@ def performance_bounds(G, env, apx, module, norm_tol=1e-8):
     attained gain.
     """
     casc = cascade_realization(G, env, apx, module)
-    K = series(extended_rectifier(G, apx).sys, module.sys)
+    K = series(extended_rectifier(G, apx), module)
     residual = invariance_residual(G, K)
 
     abscissa, tz = _deflate(casc.T_zd)

@@ -3,10 +3,11 @@
 Output-feedback H-infinity synthesis (two-Riccati central controller with
 bisection over the attenuation level) on a generalized plant that stacks
 the evaluation output with the weighted control effort, plus acceptance of
-user-supplied static gains gated by the closed-loop stability check.
+user-supplied static gains gated by the closed-loop stability check.  Every
+module controller is a plain ``(y_hat, w_hat) -> u`` StateSpace.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,7 +16,6 @@ from .numerics import NumericsError, hinf_norm, solve_care, solve_riccati, spect
 
 __all__ = [
     "GeneralizedPlant",
-    "ModuleController",
     "SynthesisError",
     "build_generalized_plant",
     "hinf_synthesize",
@@ -29,35 +29,6 @@ _PSD_TOL = 1e-8
 
 class SynthesisError(RuntimeError):
     """Raised when no stabilizing controller meeting the request exists."""
-
-
-@dataclass(frozen=True)
-class ModuleController:
-    """Controller acting on the rectified measurements ``(y_hat, w_hat)``.
-
-    Either a pair of static gains ``u = K_y y_hat + K_w w_hat`` or a
-    dynamic state-space controller; both carry their state-space
-    realization as ``sys``.
-    """
-
-    sys: StateSpace
-    gains: tuple | None = None
-
-    @classmethod
-    def from_static(cls, K_y, K_w):
-        K_y = np.atleast_2d(np.asarray(K_y, dtype=float))
-        K_w = np.atleast_2d(np.asarray(K_w, dtype=float))
-        if K_y.shape[0] != K_w.shape[0]:
-            raise ValueError("static gains disagree on the control dimension")
-        return cls(StateSpace.from_gain(np.hstack([K_y, K_w])), (K_y, K_w))
-
-    @classmethod
-    def from_dynamic(cls, sys):
-        return cls(sys, None)
-
-    @property
-    def is_static(self):
-        return self.gains is not None
 
 
 @dataclass(frozen=True)
@@ -77,9 +48,6 @@ class GeneralizedPlant:
     C2: np.ndarray
     D12: np.ndarray
     D21: np.ndarray
-    alpha: float
-    eps: float
-    n_d: int
 
     @property
     def n_meas(self):
@@ -99,8 +67,8 @@ def build_generalized_plant(design_plant, alpha, eps=DEFAULT_NOISE_SCALE):
     """
     if alpha <= 0:
         raise ValueError("control weight alpha must be positive")
-    if eps < 0:
-        raise ValueError("noise scale eps must be nonnegative")
+    if not eps > 0:
+        raise ValueError("noise scale eps must be positive")
     A = design_plant.A
     W, B_u = design_plant.W, design_plant.B
     S, C, Gamma = design_plant.S, design_plant.C, design_plant.Gamma
@@ -108,16 +76,13 @@ def build_generalized_plant(design_plant, alpha, eps=DEFAULT_NOISE_SCALE):
     nd, nu = W.shape[1], B_u.shape[1]
     nz, ny, nw = S.shape[0], C.shape[0], Gamma.shape[0]
     nmeas = ny + nw
-    nn = nmeas if eps > 0 else 0
 
-    B1 = np.hstack([W, np.zeros((n, nn))])
+    B1 = np.hstack([W, np.zeros((n, nmeas))])
     C1 = np.vstack([S, np.zeros((nu, n))])
     D12 = np.vstack([np.zeros((nz, nu)), alpha * np.eye(nu)])
     C2 = np.vstack([C, Gamma])
-    D21 = np.hstack([np.zeros((nmeas, nd)), eps * np.eye(nmeas)]) if nn else np.zeros(
-        (nmeas, nd)
-    )
-    return GeneralizedPlant(A, B1, B_u, C1, C2, D12, D21, float(alpha), float(eps), nd)
+    D21 = np.hstack([np.zeros((nmeas, nd)), eps * np.eye(nmeas)])
+    return GeneralizedPlant(A, B1, B_u, C1, C2, D12, D21)
 
 
 def _riccati_pair(gp, gamma):
@@ -126,9 +91,7 @@ def _riccati_pair(gp, gamma):
     R12 = gp.D12.T @ gp.D12
     R21 = gp.D21 @ gp.D21.T
     if np.linalg.cond(R21) > 1e14:
-        raise SynthesisError(
-            "measurement-noise feedthrough is rank deficient; use eps > 0"
-        )
+        raise SynthesisError("measurement-noise feedthrough is rank deficient")
     T12 = np.linalg.cholesky(R12)
     T21 = np.linalg.cholesky(R21)
     B2n = np.linalg.solve(T12, gp.B2.T).T
@@ -208,11 +171,7 @@ def _design_shift(gp):
         return gp
     for delta in (1e-3, 2e-3, 5e-3, 1e-2):
         if np.min(np.abs(eigs.real + delta)) > 1e-6:
-            shifted = gp.A + delta * np.eye(gp.A.shape[0])
-            return GeneralizedPlant(
-                shifted, gp.B1, gp.B2, gp.C1, gp.C2, gp.D12, gp.D21,
-                gp.alpha, gp.eps, gp.n_d,
-            )
+            return replace(gp, A=gp.A + delta * np.eye(gp.A.shape[0]))
     return gp
 
 
@@ -220,8 +179,8 @@ def hinf_synthesize(gp, gamma_tol=1e-3):
     """Near-optimal H-infinity output-feedback controller for ``gp``.
 
     Bisects the attenuation level using the two-Riccati solvability test
-    and returns the central controller at the last feasible level together
-    with that level.  The closed loop is verified internally stable with
+    and returns ``(K, gamma)``: the central controller at the last feasible
+    level, a ``(y_hat, w_hat) -> u`` StateSpace, together with that level.  The closed loop is verified internally stable with
     norm within ``(1 + gamma_tol)`` of the reported level.
     """
     gp_true = gp
@@ -265,7 +224,7 @@ def hinf_synthesize(gp, gamma_tol=1e-3):
             except NumericsError:
                 achieved = np.inf
             if achieved <= gamma * (1.0 + gamma_tol) + 1e-9:
-                return ModuleController.from_dynamic(K), float(gamma)
+                return K, float(gamma)
         gamma *= 1.2
         data, reason = _riccati_pair(gp, gamma)
         if data is None:
@@ -274,30 +233,34 @@ def hinf_synthesize(gp, gamma_tol=1e-3):
 
 
 def static_gains(K_y, K_w, design_plant):
-    """Wrap static module gains after the closed-loop stability check.
+    """The static module ``u = K_y y_hat + K_w w_hat`` after a stability check.
 
-    The gate is the spectral abscissa of the design-plant state matrix
-    under ``u = K_y y_hat + K_w w_hat``; destabilizing gains are rejected
-    with the offending abscissa.
+    Returns the state-free ``(y_hat, w_hat) -> u`` StateSpace.  The gate is
+    the spectral abscissa of the design-plant state matrix under the gains;
+    destabilizing gains are rejected with the offending abscissa.
     """
-    module = ModuleController.from_static(K_y, K_w)
+    K_y = np.atleast_2d(np.asarray(K_y, dtype=float))
+    K_w = np.atleast_2d(np.asarray(K_w, dtype=float))
+    if K_y.shape[0] != K_w.shape[0]:
+        raise ValueError("static gains disagree on the control dimension")
     A_cl = design_plant.A + design_plant.B @ (
-        module.gains[0] @ design_plant.C + module.gains[1] @ design_plant.Gamma
+        K_y @ design_plant.C + K_w @ design_plant.Gamma
     )
     abscissa = spectral_abscissa(A_cl)
     if not abscissa < 0.0:
         raise SynthesisError(
             f"static gains destabilize the design plant (abscissa {abscissa:.3e})"
         )
-    return module
+    return StateSpace.from_gain(np.hstack([K_y, K_w]))
 
 
 def lqg_module(design_plant, q=1.0, r=1.0):
     """Observer-based stabilizing module controller for a design plant.
 
     LQR state feedback plus a dual-Riccati observer on the rectified
-    measurements; useful as a generic verified module when no H-infinity
-    objective is needed (random stability sweeps, tests).
+    measurements, returned as a ``(y_hat, w_hat) -> u`` StateSpace; useful
+    as a generic verified module when no H-infinity objective is needed
+    (random stability sweeps, tests).
     """
     sys = select_channels(
         design_plant.sys, design_plant.cmap, ("u",), ("y", "w")
@@ -309,6 +272,4 @@ def lqg_module(design_plant, q=1.0, r=1.0):
     Po = solve_care(A.T, C.T, q * np.eye(n), r * np.eye(C.shape[0]))
     Lo = Po @ C.T / r
     Ak = A - B @ F - Lo @ C
-    return ModuleController.from_dynamic(
-        StateSpace(Ak, Lo, -F, np.zeros((F.shape[0], Lo.shape[1])))
-    )
+    return StateSpace(Ak, Lo, -F, np.zeros((F.shape[0], Lo.shape[1])))

@@ -131,6 +131,41 @@ class TestSweep:
         with pytest.raises(ValueError, match="t_fnal"):
             load_config(str(cfg))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("kc_grid", 3),
+            ("napx_grid", "0, 8"),
+            ("alpha_grid", ["x"]),
+            ("alpha_grid", [True]),
+            ("napx_grid", [0, None]),
+        ],
+    )
+    def test_grid_value_types_rejected(self, tmp_path, key, value):
+        cfg = _write_cfg(tmp_path / "cfg.json", **{key: value})
+        with pytest.raises(ValueError, match=key):
+            load_config(str(cfg))
+
+    @pytest.mark.parametrize(
+        "value, key",
+        [
+            (3, "simulate"),
+            ([0.02, 5.0], "simulate"),
+            ({"dt": "0.02"}, "dt"),
+            ({"t_final": None}, "t_final"),
+        ],
+    )
+    def test_simulate_value_types_rejected(self, tmp_path, value, key):
+        cfg = _write_cfg(tmp_path / "cfg.json", simulate=value)
+        with pytest.raises(ValueError, match=key):
+            load_config(str(cfg))
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-4, "1e-4"])
+    def test_nonpositive_eps_rejected(self, tmp_path, eps):
+        cfg = _write_cfg(tmp_path / "cfg.json", eps=eps)
+        with pytest.raises(ValueError, match="eps"):
+            load_config(str(cfg))
+
     def test_known_keys_load(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.json", seed=6, eps=1e-4, gamma_tol=1e-3,
                          norm_tol=1e-8, network="paper-benchmark")

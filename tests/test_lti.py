@@ -178,6 +178,22 @@ class TestFreqResponse:
         for w in (2.0, [0.5, 2.0, 3.0], long_grid):
             with pytest.raises(ValueError, match="pole"):
                 freq_response(sys, w)
+        # A defective double pole at +-2j: the real Jordan form under a seeded
+        # random similarity.  Its computed eigenvalues sit 1.7e-8 relative off
+        # 2j for this seed (up to 9e-7 over seeds 0-49), so a guard on the
+        # eigenvalue distance with a 1e-9 band would let s = 2j through.
+        rng = np.random.default_rng(0)
+        J = np.array(
+            [[0.0, 2.0, 1.0, 0.0], [-2.0, 0.0, 0.0, 1.0],
+             [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, -2.0, 0.0]]
+        )
+        T = rng.standard_normal((4, 4))
+        defective = StateSpace(
+            T @ J @ np.linalg.inv(T), rng.standard_normal((4, 1)),
+            rng.standard_normal((1, 4)),
+        )
+        with pytest.raises(ValueError, match="pole"):
+            freq_response(defective, 2.0)
 
 
 class TestSimulate:

@@ -36,7 +36,7 @@ from retrofit_control import (
     select_channels,
     spectral_abscissa,
 )
-from retrofit_control import ModuleController, add, negate
+from retrofit_control import add, negate
 from retrofit_control.verification import (
     random_admissible_env,
     random_apx,
@@ -90,7 +90,7 @@ class TestExtendedRectifier:
         rect = extended_rectifier(G, EnvironmentModel.zero(nv, nv))
         ny = G.C.shape[0]
         for w in 10.0 ** rng.uniform(-2, 2, size=20):
-            H = freq_response(rect.sys, w)
+            H = freq_response(rect, w)
             n = G.sys.n_states
             R = np.linalg.solve(1j * w * np.eye(n) - G.A, G.L)
             G_yv = G.C @ R
@@ -114,7 +114,7 @@ class TestExtendedRectifier:
         )
         rect = extended_rectifier(G, apx)
         for w in 10.0 ** rng.uniform(-2, 2, size=50):
-            H = freq_response(rect.sys, w)
+            H = freq_response(rect, w)
             ref = _rectifier_oracle(G, apx, w)
             assert np.abs(H - ref).max() < 1e-9
 
@@ -130,7 +130,7 @@ class TestExtendedRectifier:
         G, rng = _plant(seed=3)
         apx = EnvironmentModel.from_gain(0.3 * rng.standard_normal((2, 2)))
         rect = extended_rectifier(G, apx)
-        assert rect.sys.n_states == G.sys.n_states
+        assert rect.n_states == G.sys.n_states
 
     def test_kernel_residual_randomized(self):
         rng = np.random.default_rng(4)
@@ -145,8 +145,7 @@ class TestExtendedRectifier:
         G, _ = _plant(seed=5)
         nv = len(G.cmap.inputs["v"])
         rect = extended_rectifier(G, EnvironmentModel.zero(nv, nv))
-        s = rect.sys
-        broken = type(rect)(StateSpace(s.A, s.B, s.C, -s.D), rect.plant, rect.apx)
+        broken = StateSpace(rect.A, rect.B, rect.C, -rect.D)
         assert kernel_residual(G, broken) > 1e-3
 
 
@@ -193,7 +192,7 @@ class TestRetrofitComposition:
         G, rng = _plant(seed=9)
         apx = random_apx(rng, G)
         module = lqg_module(new_subsystem(G, apx))
-        K = compose_retrofit(module, extended_rectifier(G, apx))
+        K = compose_retrofit(G, apx, module)
         assert invariance_residual(G, K) < 1e-8
 
     def test_invariance_residual_large_for_direct(self):
@@ -214,26 +213,24 @@ class TestRetrofitComposition:
         rect = extended_rectifier(G, apx)
         Ky = 0.1 * rng.standard_normal((2, 2))
         Kw = 0.1 * rng.standard_normal((2, 2))
-        module = ModuleController.from_static(Ky, Kw)
-        K = compose_retrofit(module, rect)
         gain = np.hstack([Ky, Kw])
+        K = compose_retrofit(G, apx, StateSpace.from_gain(gain))
         for w in 10.0 ** rng.uniform(-2, 2, size=20):
-            ref = gain @ freq_response(rect.sys, w)
+            ref = gain @ freq_response(rect, w)
             assert np.abs(freq_response(K, w) - ref).max() < 1e-10
 
     def test_destabilizing_module_rejected(self):
         G, _ = _plant(seed=11)
         nv = len(G.cmap.inputs["v"])
         apx = EnvironmentModel.zero(nv, nv)
-        rect = extended_rectifier(G, apx)
         # Find a static gain that provably destabilizes the design loop.
         for scale in (1.0, -1.0, 10.0, -10.0, 100.0, -100.0, 1e3, -1e3):
             Ky = scale * np.ones((2, 2))
             A_cl = G.A + G.B @ (Ky @ G.C)
             if spectral_abscissa(A_cl) > 1e-6:
-                bad = ModuleController.from_static(Ky, np.zeros((2, 2)))
+                bad = StateSpace.from_gain(np.hstack([Ky, np.zeros((2, 2))]))
                 with pytest.raises(Exception):
-                    compose_retrofit(bad, rect)
+                    compose_retrofit(G, apx, bad)
                 return
         pytest.fail("no destabilizing static gain found for this plant")
 
@@ -253,7 +250,7 @@ class TestDesignLoop:
             except NumericsError:
                 continue
             design = select_channels(gplus.sys, gplus.cmap, ("u",), ("y", "w"))
-            ref = close_loop(design, module.sys, np.arange(design.n_inputs),
+            ref = close_loop(design, module, np.arange(design.n_inputs),
                              np.arange(design.n_outputs))
             up = cascade_realization(G, env, apx, module).upstream
             assert np.abs(up.A - ref.A).max() <= 1e-12 * max(1.0, np.abs(ref.A).max())
@@ -261,10 +258,9 @@ class TestDesignLoop:
     def test_wrong_size_module_rejected(self):
         G, _ = _plant(seed=18)
         nv = len(G.cmap.inputs["v"])
-        rect = extended_rectifier(G, EnvironmentModel.zero(nv, nv))
-        bad = ModuleController.from_static(np.zeros((2, 3)), np.zeros((2, 2)))
+        bad = StateSpace.zero(2, 5)
         with pytest.raises(ValueError, match="module maps 5 -> 2"):
-            compose_retrofit(bad, rect)
+            compose_retrofit(G, EnvironmentModel.zero(nv, nv), bad)
 
 
 class TestCascade:
@@ -278,8 +274,7 @@ class TestCascade:
                 module = lqg_module(new_subsystem(G, apx))
             except Exception:
                 continue
-            direct = closed_loop_direct(G, env, compose_retrofit(
-                module, extended_rectifier(G, apx)))
+            direct = closed_loop_direct(G, env, compose_retrofit(G, apx, module))
             casc = cascade_realization(G, env, apx, module)
             gap = hinf_norm(minreal(add(direct, negate(casc.T_zd))))
             ref = hinf_norm(minreal(direct))

@@ -5,11 +5,12 @@ grid search on a scalar design plant, a zero-coupling plant where the
 optimal level vanishes, and determinism/stability contracts.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from retrofit_control import (
-    ModuleController,
     PartitionedPlant,
     StateSpace,
     SynthesisError,
@@ -50,10 +51,11 @@ class TestGeneralizedPlant:
         assert gp.D21.shape == (2, 3)
         assert gp.n_meas == 2 and gp.n_ctrl == 1
 
-    def test_zero_noise_drops_columns(self):
-        gp = build_generalized_plant(_scalar_plant(), alpha=0.5, eps=0.0)
-        assert gp.B1.shape == (1, 1)
-        assert gp.D21.shape == (2, 1)
+    def test_zero_noise_rejected(self):
+        # A noise-free measurement feedthrough is rank deficient, so the
+        # plant could never be synthesized; it is refused when built.
+        with pytest.raises(ValueError, match="eps"):
+            build_generalized_plant(_scalar_plant(), alpha=0.5, eps=0.0)
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -98,8 +100,7 @@ class TestHinfSynthesize:
             C=rng.standard_normal((2, n)),
         )
         gp = build_generalized_plant(plant, alpha=0.3)
-        module, gamma = hinf_synthesize(gp)
-        K = module.sys
+        K, gamma = hinf_synthesize(gp)
         # Verify stability of the measurement loop independently.
         Kmap = K.C, K.D
         meas = np.vstack([plant.C, plant.Gamma])
@@ -118,8 +119,15 @@ class TestHinfSynthesize:
         m1, g1 = hinf_synthesize(gp)
         m2, g2 = hinf_synthesize(gp)
         assert g1 == g2
-        assert np.array_equal(m1.sys.A, m2.sys.A)
-        assert np.array_equal(m1.sys.B, m2.sys.B)
+        assert np.array_equal(m1.A, m2.A)
+        assert np.array_equal(m1.B, m2.B)
+
+    def test_rank_deficient_noise_feedthrough_refused(self):
+        # Only a hand-built plant can reach synthesis without noise columns.
+        gp = build_generalized_plant(_scalar_plant(), alpha=0.5)
+        gp = dataclasses.replace(gp, B1=gp.B1[:, :1], D21=gp.D21[:, :1])
+        with pytest.raises(SynthesisError, match="rank deficient"):
+            hinf_synthesize(gp)
 
     def test_marginal_mode_hidden_from_performance(self):
         # Rigid-body-style zero eigenvalue invisible to z is handled by the
@@ -144,13 +152,25 @@ class TestStaticGains:
     def test_accepts_stabilizing(self):
         plant = _scalar_plant(a=-1.0)
         module = static_gains([[-2.0]], [[0.0]], plant)
-        assert module.is_static
-        assert module.sys.n_states == 0
+        assert module.n_states == 0
 
     def test_rejects_destabilizing(self):
         plant = _scalar_plant(a=-1.0)
         with pytest.raises(SynthesisError):
             static_gains([[5.0]], [[0.0]], plant)
+
+    def test_gain_layout(self):
+        # The feedthrough is [K_y, K_w], columns in (y_hat, w_hat) order.
+        plant = PartitionedPlant.from_blocks(
+            A=[[-10.0]], B=[[1.0]], L=[[0.0]], W=[[1.0]], Gamma=[[1.0]],
+            S=[[1.0]], C=[[1.0], [1.0]],
+        )
+        module = static_gains([[1.0, 2.0]], [[3.0]], plant)
+        assert np.array_equal(module.D, np.array([[1.0, 2.0, 3.0]]))
+
+    def test_dim_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="control dimension"):
+            static_gains(np.ones((2, 1)), np.ones((1, 1)), _scalar_plant())
 
 
 class TestLqgModule:
@@ -167,8 +187,7 @@ class TestLqgModule:
             S=rng.standard_normal((2, n)),
             C=rng.standard_normal((2, n)),
         )
-        module = lqg_module(plant)
-        K = module.sys
+        K = lqg_module(plant)
         meas = np.vstack([plant.C, plant.Gamma])
         A_cl = np.block(
             [
@@ -178,13 +197,3 @@ class TestLqgModule:
         )
         assert spectral_abscissa(A_cl) < 0.0
 
-
-class TestModuleController:
-    def test_static_roundtrip(self):
-        m = ModuleController.from_static([[1.0, 2.0]], [[3.0]])
-        D = m.sys.D
-        assert np.array_equal(D, np.array([[1.0, 2.0, 3.0]]))
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ModuleController.from_static(np.ones((2, 1)), np.ones((1, 1)))

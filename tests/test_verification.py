@@ -2,21 +2,24 @@
 
 Each check runs once as shipped, where it must pass, and once against a
 mutant of the quantity it guards, patched in from the test, where it must
-fail.  The mutants: the cascade's downstream coupling block scaled, and a
-performance report without its gap term.
+fail.  The mutants: the cascade's downstream coupling block scaled, a
+performance report without its gap term, and the module implemented
+directly, without the rectifier, in place of the retrofit controller.
 """
 
 import dataclasses
 
 import numpy as np
 
-from retrofit_control import StateSpace, verification
+from retrofit_control import StateSpace, direct_controller, verification
 from retrofit_control.verification import (
     check_bound_sandwich,
     check_cascade_equivalence,
+    check_robust_stability,
 )
 
 N_CASES = 3
+N_ENV, N_APX = 10, 10
 
 
 def _scaled_coupling(casc):
@@ -60,3 +63,17 @@ class TestBoundSandwich:
         res = check_bound_sandwich(seed=0, n_cases=N_CASES)
         assert not res.passed
         assert res.worst > 1e3 * res.tol
+
+
+class TestRobustStability:
+    def test_passes(self):
+        assert check_robust_stability(seed=0, n_env=N_ENV, n_apx=N_APX).passed
+
+    def test_fails_without_rectifier(self, monkeypatch):
+        monkeypatch.setattr(
+            verification, "compose_retrofit",
+            lambda G, apx, module: direct_controller(G, module),
+        )
+        res = check_robust_stability(seed=0, n_env=N_ENV, n_apx=N_APX)
+        assert not res.passed
+        assert res.worst > 1e-2
