@@ -26,15 +26,14 @@ def main():
           f"({spec.node_count} nodes, angle+rate each)")
 
     G, env = partition(full, spec, assign)
-    dims = G.dims()
-    print(f"subsystem: {dims['x']} states, u={dims['u']} d={dims['d']} "
-          f"y={dims['y']} z={dims['z']}, boundary channels v=w={dims['v']}")
+    print(f"subsystem: {G.A.shape[0]} states, u={G.B.shape[1]} d={G.W.shape[1]} "
+          f"y={G.C.shape[0]} z={G.S.shape[0]}, boundary channels v=w={G.L.shape[1]}")
     print(f"environment: {env.sys.n_states} states, "
           f"isolated abscissa {spectral_abscissa(env.sys.A):.4f}")
     print(f"true environment admissible: {check_admissible(G, env)}")
 
     # A rectifier needs only some surrogate of the environment; here: none.
-    nv = len(G.cmap.inputs["v"])
+    nv = G.L.shape[1]
     apx = EnvironmentModel.zero(nv, nv)
     rect = extended_rectifier(G, apx)
     print(f"rectifier: {rect.n_states} states, "

@@ -9,7 +9,6 @@ disturbance attenuation through upstream/downstream performance bounds.
 """
 
 from .lti import (
-    ChannelMap,
     StateSpace,
     add,
     close_loop,
@@ -18,7 +17,6 @@ from .lti import (
     minreal,
     negate,
     select,
-    select_channels,
     series,
     simulate,
 )

@@ -86,19 +86,56 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# Keys of a custom ``network`` object (``k_c`` comes from the grid) and of
+# its ``channels`` object; ``_network_at`` reads every one of them.
+_NETWORK_KEYS = (
+    "node_count", "edges", "inertia", "damping", "subsystem_nodes", "channels"
+)
+_CHANNEL_KEYS = ("actuated", "disturbed", "measured", "evaluated", "boundary")
+
+
+def _check_keys(obj, keys, where):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, got {obj!r}")
+    _reject_unknown(obj, keys, where)
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{where} lacks key(s): {', '.join(map(repr, missing))}")
+
+
+def _check_network(net):
+    """Refuse a ``network`` that is neither the preset nor a complete object."""
+    if net == "paper-benchmark":
+        return
+    if not isinstance(net, dict):
+        raise ValueError(f'network must be "paper-benchmark" or an object, got {net!r}')
+    _check_keys(net, _NETWORK_KEYS, "network")
+    _check_keys(net["channels"], _CHANNEL_KEYS, "network channels")
+
+
 def load_config(path):
     """Read a JSON config, filling unspecified fields with defaults.
 
-    Unknown keys, at the top level or under ``simulate``, are rejected, and
-    so are grids that are not nonempty lists of numbers, a ``simulate``
-    that is not an object with numeric ``dt`` and ``t_final``, and an
-    ``eps`` that is not a number > 0; each error names the key.
+    The document must be an object.  Unknown keys, at the top level or
+    under ``simulate``, are rejected, and so are grids that are not
+    nonempty lists of numbers, a ``napx_grid`` entry that is not an integer
+    >= 0, a ``simulate`` that is not an object with numeric ``dt`` and
+    ``t_final``, an ``eps``, ``gamma_tol`` or ``norm_tol`` that is not a
+    number > 0, a ``seed`` that is not an integer, and a ``network`` that
+    is neither ``"paper-benchmark"`` nor an object with exactly the keys a
+    custom network is read from; each error names the key.
     """
     cfg = dict(DEFAULT_CONFIG)
     cfg["simulate"] = dict(DEFAULT_CONFIG["simulate"])
     if path is not None:
         with open(path) as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ValueError(f"config must be a JSON object, got {user!r}")
         if user.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
             raise ValueError(f"unsupported config schema {user.get('schema')}")
         _reject_unknown(user, DEFAULT_CONFIG, "config")
@@ -112,11 +149,17 @@ def load_config(path):
         grid = cfg[key]
         if not (isinstance(grid, list) and grid and all(map(_is_number, grid))):
             raise ValueError(f"{key} must be a nonempty list of numbers, got {grid!r}")
+    if not all(_is_int(n) and n >= 0 for n in cfg["napx_grid"]):
+        raise ValueError(f"napx_grid must hold integers >= 0, got {cfg['napx_grid']!r}")
     for key in ("dt", "t_final"):
         if not _is_number(cfg["simulate"][key]):
             raise ValueError(f"simulate {key} must be a number")
-    if not (_is_number(cfg["eps"]) and cfg["eps"] > 0):
-        raise ValueError(f"eps must be a number > 0, got {cfg['eps']!r}")
+    for key in ("eps", "gamma_tol", "norm_tol"):
+        if not (_is_number(cfg[key]) and cfg[key] > 0):
+            raise ValueError(f"{key} must be a number > 0, got {cfg[key]!r}")
+    if not _is_int(cfg["seed"]):
+        raise ValueError(f"seed must be an integer, got {cfg['seed']!r}")
+    _check_network(cfg["network"])
     return cfg
 
 
@@ -133,14 +176,7 @@ def _network_at(cfg, k_c):
         subsystem_nodes=tuple(net["subsystem_nodes"]),
         k_c=float(k_c),
     )
-    ch = net["channels"]
-    assign = ChannelAssignment(
-        actuated=tuple(ch["actuated"]),
-        disturbed=tuple(ch["disturbed"]),
-        measured=tuple(ch["measured"]),
-        evaluated=tuple(ch["evaluated"]),
-        boundary=tuple(ch["boundary"]),
-    )
+    assign = ChannelAssignment(**{k: tuple(net["channels"][k]) for k in _CHANNEL_KEYS})
     return spec, assign
 
 
@@ -178,7 +214,7 @@ def _apx_for(env_min, napx):
     nv, nw = env_min.sys.n_outputs, env_min.sys.n_inputs
     if napx == 0:
         return EnvironmentModel.zero(nv, nw)
-    r = min(int(napx), env_min.sys.n_states)
+    r = min(napx, env_min.sys.n_states)
     return EnvironmentModel(balanced_truncate(env_min.sys, r).reduced)
 
 
@@ -228,7 +264,7 @@ def _sweep_point(cfg, G, env_min, apx, merr, k_c, napx, alpha):
 def cmd_sweep(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     kc_grid = cfg["kc_grid"]
-    napx_grid = [int(n) for n in cfg["napx_grid"]]
+    napx_grid = cfg["napx_grid"]
     alpha_grid = cfg["alpha_grid"]
 
     setups = {k_c: _environment_setup(cfg, k_c) for k_c in kc_grid}
@@ -298,9 +334,7 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     G, env_min = _environment_setup(cfg, k_c)
     apx = _apx_for(env_min, napx)
-    nz = len(G.cmap.outputs["z"])
-    ny = len(G.cmap.outputs["y"])
-    nw = len(G.cmap.outputs["w"])
+    nz, ny, nw = G.S.shape[0], G.C.shape[0], G.Gamma.shape[0]
     dt = float(cfg["simulate"]["dt"])
     t_final = float(cfg["simulate"]["t_final"])
     n_samples = int(round(t_final / dt)) + 1
@@ -310,11 +344,11 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
     if mode in ("retrofit", "direct"):
         module, meta["achieved_gamma"] = _design_module(G, apx, alpha, cfg)
     elif mode == "none":
-        module = StateSpace.zero(len(G.cmap.inputs["u"]), ny + nw)
+        module = StateSpace.zero(G.B.shape[1], ny + nw)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    d = np.zeros((n_samples, len(G.cmap.inputs["d"])))
+    d = np.zeros((n_samples, G.W.shape[1]))
     d[0, 0] = 1.0 / dt  # impulse at the first disturbance channel
 
     if mode == "direct":

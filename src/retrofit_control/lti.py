@@ -6,8 +6,6 @@ into the plant input.  All operations return new :class:`StateSpace` values;
 instances are immutable after construction.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.linalg
 
@@ -15,9 +13,7 @@ from .numerics import expm
 
 __all__ = [
     "StateSpace",
-    "ChannelMap",
     "select",
-    "select_channels",
     "series",
     "add",
     "negate",
@@ -112,56 +108,6 @@ def _indices(spec, limit, what):
     return idx
 
 
-@dataclass(frozen=True)
-class ChannelMap:
-    """Named input/output groups mapping to column/row index ranges.
-
-    Groups must be disjoint and jointly cover every input column and output
-    row of the system they describe.
-    """
-
-    inputs: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "inputs", {k: np.asarray(v, dtype=int) for k, v in self.inputs.items()}
-        )
-        object.__setattr__(
-            self,
-            "outputs",
-            {k: np.asarray(v, dtype=int) for k, v in self.outputs.items()},
-        )
-        for side in (self.inputs, self.outputs):
-            all_idx = np.concatenate([v for v in side.values()]) if side else np.array([], int)
-            if len(np.unique(all_idx)) != len(all_idx):
-                raise ValueError("channel groups overlap")
-
-    def validate_cover(self, sys):
-        n_in = sum(len(v) for v in self.inputs.values())
-        n_out = sum(len(v) for v in self.outputs.values())
-        if n_in != sys.n_inputs or n_out != sys.n_outputs:
-            raise ValueError(
-                f"channel map covers {n_in} inputs / {n_out} outputs, system has "
-                f"{sys.n_inputs} / {sys.n_outputs}"
-            )
-
-    def input_indices(self, *names):
-        return self._collect(self.inputs, names, "input")
-
-    def output_indices(self, *names):
-        return self._collect(self.outputs, names, "output")
-
-    @staticmethod
-    def _collect(side, names, what):
-        parts = []
-        for name in names:
-            if name not in side:
-                raise KeyError(f"unknown {what} group {name!r}")
-            parts.append(np.asarray(side[name], dtype=int))
-        return np.concatenate(parts) if parts else np.array([], dtype=int)
-
-
 def select(sys, rows=None, cols=None):
     """Subsystem keeping the output ``rows`` and input ``cols`` (all when ``None``)."""
     B, C, D = sys.B, sys.C, sys.D
@@ -172,11 +118,6 @@ def select(sys, rows=None, cols=None):
         cols = _indices(cols, sys.n_inputs, "input")
         B, D = B[:, cols], D[:, cols]
     return StateSpace(sys.A, B, C, D)
-
-
-def select_channels(sys, cmap, ins, outs):
-    """Subsystem restricted to the named input and output groups."""
-    return select(sys, cmap.output_indices(*outs), cmap.input_indices(*ins))
 
 
 def series(g1, g2):

@@ -238,7 +238,7 @@ def partition(full, spec, assign):
     for r, node in enumerate(assign.measured):
         C[r, spos[node]] = 1.0
         C[len(assign.measured) + r, ns + spos[node]] = 1.0
-    G = PartitionedPlant.from_blocks(A_sub, B_u, L, W, Gamma, S, C)
+    G = PartitionedPlant(A_sub, B_u, L, W, Gamma, S, C)
 
     # Environment: internal Laplacian plus k_c grounding at coupled nodes.
     Lm_env = _laplacian(ne, env_edges)

@@ -12,21 +12,12 @@ block (the preexisting dynamics under the modeling error, output
 sandwich the achieved norm.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
 
-from .lti import (
-    ChannelMap,
-    StateSpace,
-    close_loop,
-    freq_response,
-    minreal,
-    select,
-    select_channels,
-    series,
-)
+from .lti import StateSpace, close_loop, freq_response, minreal, select, series
 from .numerics import hinf_norm, spectral_abscissa
 
 __all__ = [
@@ -60,94 +51,40 @@ def default_frequency_grid(count=200):
     return np.logspace(-3.0, 3.0, count)
 
 
+@dataclass(frozen=True, eq=False)
 class PartitionedPlant:
     """Strictly proper subsystem with inputs ``(v, d, u)`` and outputs ``(w, z, y)``.
 
-    The state-space blocks carry their usual roles: ``L`` and ``W`` are the
-    interconnection and disturbance input maps, ``Gamma``, ``S`` and ``C``
-    the interconnection, evaluation and measurement output maps.
+    ``x' = A x + L v + W d + B u``, ``w = Gamma x``, ``z = S x``, ``y = C x``:
+    ``L`` and ``W`` are the interconnection and disturbance input maps,
+    ``Gamma``, ``S`` and ``C`` the interconnection, evaluation and
+    measurement output maps.  The blocks are stored as read-only float
+    arrays; inconsistent sizes are refused, naming the block.
     """
 
-    __slots__ = ("sys", "cmap")
+    A: np.ndarray
+    B: np.ndarray
+    L: np.ndarray
+    W: np.ndarray
+    Gamma: np.ndarray
+    S: np.ndarray
+    C: np.ndarray
 
-    def __init__(self, sys, cmap):
-        for g in ("v", "d", "u"):
-            if g not in cmap.inputs:
-                raise ValueError(f"missing input group {g!r}")
-        for g in ("w", "z", "y"):
-            if g not in cmap.outputs:
-                raise ValueError(f"missing output group {g!r}")
-        cmap.validate_cover(sys)
-        if np.any(sys.D != 0.0):
-            raise ValueError("partitioned plants must be strictly proper (D = 0)")
-        object.__setattr__(self, "sys", sys)
-        object.__setattr__(self, "cmap", cmap)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartitionedPlant is immutable")
-
-    @classmethod
-    def from_blocks(cls, A, B, L, W, Gamma, S, C):
-        """Assemble from the individual state-space blocks."""
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        blocks_in = [np.atleast_2d(np.asarray(M, dtype=float)) for M in (L, W, B)]
-        blocks_out = [np.atleast_2d(np.asarray(M, dtype=float)) for M in (Gamma, S, C)]
-        Bfull = np.hstack(blocks_in)
-        Cfull = np.vstack(blocks_out)
-        widths = [M.shape[1] for M in blocks_in]
-        heights = [M.shape[0] for M in blocks_out]
-        edges_in = np.cumsum([0] + widths)
-        edges_out = np.cumsum([0] + heights)
-        cmap = ChannelMap(
-            inputs={
-                "v": np.arange(edges_in[0], edges_in[1]),
-                "d": np.arange(edges_in[1], edges_in[2]),
-                "u": np.arange(edges_in[2], edges_in[3]),
-            },
-            outputs={
-                "w": np.arange(edges_out[0], edges_out[1]),
-                "z": np.arange(edges_out[1], edges_out[2]),
-                "y": np.arange(edges_out[2], edges_out[3]),
-            },
-        )
-        return cls(StateSpace(A, Bfull, Cfull), cmap)
-
-    # Named blocks.
-    @property
-    def A(self):
-        return self.sys.A
-
-    @property
-    def B(self):
-        return self.sys.B[:, self.cmap.inputs["u"]]
-
-    @property
-    def L(self):
-        return self.sys.B[:, self.cmap.inputs["v"]]
-
-    @property
-    def W(self):
-        return self.sys.B[:, self.cmap.inputs["d"]]
-
-    @property
-    def Gamma(self):
-        return self.sys.C[self.cmap.outputs["w"], :]
-
-    @property
-    def S(self):
-        return self.sys.C[self.cmap.outputs["z"], :]
-
-    @property
-    def C(self):
-        return self.sys.C[self.cmap.outputs["y"], :]
-
-    def dims(self):
-        c = self.cmap
-        return {
-            "x": self.sys.n_states,
-            **{k: len(v) for k, v in c.inputs.items()},
-            **{k: len(v) for k, v in c.outputs.items()},
-        }
+    def __post_init__(self):
+        for f in fields(self):
+            M = np.array(getattr(self, f.name), dtype=float, ndmin=2)
+            if M.size and not np.all(np.isfinite(M)):
+                raise ValueError(f"{f.name} contains non-finite entries")
+            M.flags.writeable = False
+            object.__setattr__(self, f.name, M)
+        n = self.A.shape[0]
+        if self.A.shape != (n, n):
+            raise ValueError(f"A must be square, got {self.A.shape}")
+        for name, axis in (("B", 0), ("L", 0), ("W", 0), ("Gamma", 1), ("S", 1), ("C", 1)):
+            size = getattr(self, name).shape[axis]
+            if size != n:
+                what = ("rows", "columns")[axis]
+                raise ValueError(f"{name} has {size} {what}, expected {n}")
 
 
 @dataclass(frozen=True)
@@ -165,8 +102,7 @@ class EnvironmentModel:
         return cls(StateSpace.zero(n_v, n_w))
 
     def check_dims(self, plant):
-        nv = len(plant.cmap.inputs["v"])
-        nw = len(plant.cmap.outputs["w"])
+        nv, nw = plant.L.shape[1], plant.Gamma.shape[0]
         if self.sys.n_inputs != nw or self.sys.n_outputs != nv:
             raise ValueError(
                 f"environment maps {self.sys.n_inputs} -> {self.sys.n_outputs}, "
@@ -249,8 +185,7 @@ def _plant_with_env(G, env):
 def assemble_preexisting(G, env):
     """Close the environment loop ``v = env(w)``; inputs ``(d, u)``, outputs ``(z, y)``."""
     full = _plant_with_env(G, env)
-    nzy = len(G.cmap.outputs["z"]) + len(G.cmap.outputs["y"])
-    return select(full, np.arange(nzy))
+    return select(full, np.arange(G.S.shape[0] + G.C.shape[0]))
 
 
 _AXIS_TOL = 1e-9
@@ -343,7 +278,7 @@ def check_admissible(G, env, tol=STABILITY_TOL):
     evaluation output cannot see.
     """
     full = _plant_with_env(G, env)
-    dz = select(full, np.arange(len(G.cmap.outputs["z"])))
+    dz = select(full, np.arange(G.S.shape[0]))
     return bool(deflated_abscissa(dz) < tol)
 
 
@@ -354,15 +289,13 @@ def new_subsystem(G, apx):
     all outputs remain exposed; the state is the plant state stacked over
     the model state.  With a zero model this is ``G`` itself.
     """
-    apx.check_dims(G)
-    closed = close_loop(
-        G.sys,
-        apx.sys,
-        G.cmap.inputs["v"],
-        G.cmap.outputs["w"],
-        keep_external=True,
+    na = apx.sys.n_states
+    below, right = ((0, na), (0, 0)), ((0, 0), (0, na))
+    return PartitionedPlant(
+        _plant_with_env(G, apx).A,
+        *(np.pad(M, below) for M in (G.B, G.L, G.W)),
+        *(np.pad(M, right) for M in (G.Gamma, G.S, G.C)),
     )
-    return PartitionedPlant(closed, G.cmap)
 
 
 def extended_rectifier(G, apx):
@@ -467,9 +400,7 @@ def closed_loop_direct(G, env, K):
     :func:`lti.minreal` before stability or norm queries.
     """
     plantE = _plant_with_env(G, env)
-    nz = len(G.cmap.outputs["z"])
-    nd = len(G.cmap.inputs["d"])
-    nu = len(G.cmap.inputs["u"])
+    nz, nd, nu = G.S.shape[0], G.W.shape[1], G.B.shape[1]
     n_meas = plantE.n_outputs - nz  # (y, w, v) rows
     if K.n_inputs != n_meas or K.n_outputs != nu:
         raise ValueError(
@@ -492,9 +423,7 @@ def direct_controller(G, module):
     Returns a ``(y, w, v) -> u`` controller that ignores ``v``; used as the
     destabilization baseline against the retrofit composition.
     """
-    ny = len(G.cmap.outputs["y"])
-    nw = len(G.cmap.outputs["w"])
-    nv = len(G.cmap.inputs["v"])
+    ny, nw, nv = G.C.shape[0], G.Gamma.shape[0], G.L.shape[1]
     sel = np.hstack([np.eye(ny + nw), np.zeros((ny + nw, nv))])
     return series(StateSpace.from_gain(sel), module)
 
@@ -547,13 +476,18 @@ def cascade_realization(G, env, apx, module):
 
 
 def _measured(G):
-    """``G`` with outputs ``(y, w, v)``; ``v`` is measured through a feedthrough copy."""
-    s, rows, v = G.sys, G.cmap.output_indices("y", "w"), G.cmap.inputs["v"]
+    """``G`` with inputs ``(v, d, u)`` and outputs ``(y, w, v)``.
+
+    ``v`` is measured through a feedthrough copy.
+    """
+    B = np.hstack([G.L, G.W, G.B])
+    n, n_in = B.shape
+    n_yw, nv = G.C.shape[0] + G.Gamma.shape[0], G.L.shape[1]
     return StateSpace(
-        s.A,
-        s.B,
-        np.vstack([s.C[rows, :], np.zeros((len(v), s.n_states))]),
-        np.vstack([s.D[rows, :], np.eye(s.n_inputs)[v, :]]),
+        G.A,
+        B,
+        np.vstack([G.C, G.Gamma, np.zeros((nv, n))]),
+        np.vstack([np.zeros((n_yw, n_in)), np.eye(nv, n_in)]),
     )
 
 
@@ -569,16 +503,14 @@ def invariance_residual(G, K, grid=None):
     if grid is None:
         grid = default_frequency_grid()
     meas = _measured(G)
+    nv, nd, nu = G.L.shape[1], G.W.shape[1], G.B.shape[1]
+    ny, nw = G.C.shape[0], G.Gamma.shape[0]
     closed = close_loop(
-        meas, K, G.cmap.inputs["u"], np.arange(meas.n_outputs), keep_external=False
+        meas, K, np.arange(nv + nd, nv + nd + nu), np.arange(meas.n_outputs),
+        keep_external=False,
     )
-
-    other = np.setdiff1d(np.arange(G.sys.n_inputs), G.cmap.inputs["u"])
-    pos = {orig: k for k, orig in enumerate(other)}
-    v_cols = [pos[i] for i in G.cmap.inputs["v"]]
-    ny, nw = len(G.cmap.outputs["y"]), len(G.cmap.outputs["w"])
-    gwv_closed = select(closed, np.arange(ny, ny + nw), v_cols)
-    gwv_open = select_channels(G.sys, G.cmap, ("v",), ("w",))
+    gwv_closed = select(closed, np.arange(ny, ny + nw), np.arange(nv))
+    gwv_open = StateSpace(G.A, G.L, G.Gamma)
 
     ref = freq_response(gwv_open, grid)
     delta = freq_response(gwv_closed, grid) - ref
@@ -597,7 +529,7 @@ def kernel_residual(G, rect, grid=None):
     """
     if grid is None:
         grid = default_frequency_grid()
-    gy = select(_measured(G), cols=G.cmap.inputs["v"])
+    gy = select(_measured(G), cols=np.arange(G.L.shape[1]))
     val = freq_response(rect, grid) @ freq_response(gy, grid)
     return float(np.max(np.linalg.svd(val, compute_uv=False)[:, 0]))
 

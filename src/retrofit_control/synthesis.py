@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lti import StateSpace, close_loop, minreal, select, select_channels
+from .lti import StateSpace, close_loop, minreal, select
 from .numerics import NumericsError, hinf_norm, solve_care, solve_riccati, spectral_abscissa
 
 __all__ = [
@@ -262,10 +262,8 @@ def lqg_module(design_plant, q=1.0, r=1.0):
     as a generic verified module when no H-infinity objective is needed
     (random stability sweeps, tests).
     """
-    sys = select_channels(
-        design_plant.sys, design_plant.cmap, ("u",), ("y", "w")
-    )
-    A, B, C = sys.A, sys.B, sys.C
+    A, B = design_plant.A, design_plant.B
+    C = np.vstack([design_plant.C, design_plant.Gamma])
     n = A.shape[0]
     P = solve_care(A, B, q * np.eye(n), r * np.eye(B.shape[1]))
     F = np.linalg.solve(r * np.eye(B.shape[1]), B.T @ P)

@@ -83,7 +83,7 @@ def random_statespace(rng, n, m, p, stable=True, margin=0.3):
 def random_partitioned_plant(rng, n=4, nv=2, nw=2, nd=2, nu=2, nz=2, ny=2):
     """Random stable, strictly proper partitioned plant."""
     core = random_statespace(rng, n, 1, 1, stable=True)
-    return PartitionedPlant.from_blocks(
+    return PartitionedPlant(
         core.A,
         rng.standard_normal((n, nu)),
         rng.standard_normal((n, nv)),
@@ -96,8 +96,7 @@ def random_partitioned_plant(rng, n=4, nv=2, nw=2, nd=2, nu=2, nz=2, ny=2):
 
 def random_admissible_env(rng, G, n_states=2, max_tries=60):
     """Random stable environment scaled until the interconnection is admissible."""
-    nv = len(G.cmap.inputs["v"])
-    nw = len(G.cmap.outputs["w"])
+    nv, nw = G.L.shape[1], G.Gamma.shape[0]
     cand = random_statespace(rng, n_states, nw, nv, stable=True)
     scale = 1.0
     for _ in range(max_tries):
@@ -118,8 +117,7 @@ def _full_loop_stable(G, env):
 
 def random_apx(rng, G, n_states=2):
     """Random approximate environment model: static, stable, or unstable."""
-    nv = len(G.cmap.inputs["v"])
-    nw = len(G.cmap.outputs["w"])
+    nv, nw = G.L.shape[1], G.Gamma.shape[0]
     kind = rng.integers(0, 4)
     if kind == 0:
         return EnvironmentModel.from_gain(0.5 * rng.standard_normal((nv, nw)))

@@ -14,7 +14,8 @@ import sys
 import numpy as np
 import pytest
 
-from retrofit_control.cli import load_config
+from retrofit_control import paper_benchmark
+from retrofit_control.cli import load_config, main
 
 CLI = [sys.executable, "-m", "retrofit_control.cli"]
 
@@ -30,6 +31,26 @@ def _write_cfg(path, **overrides):
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
+
+
+def _network_object(k_c, seed=6):
+    """The preset network at ``k_c`` written out as a config ``network`` object."""
+    spec, assign = paper_benchmark(k_c, seed=seed)
+    return {
+        "node_count": spec.node_count,
+        "edges": [[i, j, k] for i, j, k in spec.edges],
+        "inertia": list(spec.inertia),
+        "damping": list(spec.damping),
+        "subsystem_nodes": list(spec.subsystem_nodes),
+        "channels": {
+            name: list(getattr(assign, name))
+            for name in ("actuated", "disturbed", "measured", "evaluated", "boundary")
+        },
+    }
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
 
 
 def _run(*args, check=True):
@@ -139,6 +160,8 @@ class TestSweep:
             ("alpha_grid", ["x"]),
             ("alpha_grid", [True]),
             ("napx_grid", [0, None]),
+            ("napx_grid", [2.7]),
+            ("napx_grid", [0, -2]),
         ],
     )
     def test_grid_value_types_rejected(self, tmp_path, key, value):
@@ -165,6 +188,52 @@ class TestSweep:
         cfg = _write_cfg(tmp_path / "cfg.json", eps=eps)
         with pytest.raises(ValueError, match="eps"):
             load_config(str(cfg))
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("gamma_tol", "x", "gamma_tol"),
+            ("gamma_tol", -1e-3, "gamma_tol"),
+            ("norm_tol", 0, "norm_tol"),
+            ("seed", "a", "seed"),
+            ("seed", True, "seed"),
+            ("seed", 6.5, "seed"),
+            ("network", "paper", "network"),
+            ("network", ["paper-benchmark"], "network"),
+            ("network", _without(_network_object(2), "damping"), "damping"),
+            ("network", {**_network_object(2), "stiffness": 5.0}, "stiffness"),
+            (
+                "network",
+                {**_network_object(2),
+                 "channels": _without(_network_object(2)["channels"], "boundary")},
+                "boundary",
+            ),
+        ],
+    )
+    def test_scalar_values_rejected(self, tmp_path, key, value, match):
+        cfg = _write_cfg(tmp_path / "cfg.json", **{key: value})
+        with pytest.raises(ValueError, match=match):
+            load_config(str(cfg))
+
+    def test_document_must_be_object(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            load_config(str(cfg))
+
+    def test_custom_network_matches_preset(self, tmp_path):
+        # The preset written out as a network object runs the same sweep.
+        grid = {"kc_grid": [2], "napx_grid": [0, 8]}
+        outs = {}
+        for name, network in (("preset", "paper-benchmark"),
+                              ("custom", _network_object(2))):
+            cfg = _write_cfg(tmp_path / f"{name}.json", network=network, **grid)
+            outs[name] = tmp_path / name
+            assert main(["sweep", "--config", str(cfg), "--out", str(outs[name])]) == 0
+        for name in ("errors.csv", "performance.csv"):
+            assert (outs["preset"] / name).read_bytes() == (
+                outs["custom"] / name
+            ).read_bytes()
 
     def test_known_keys_load(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.json", seed=6, eps=1e-4, gamma_tol=1e-3,

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from retrofit_control import (
-    ChannelMap,
     StateSpace,
     add,
     close_loop,
@@ -17,7 +16,7 @@ from retrofit_control import (
     freq_response,
     minreal,
     negate,
-    select_channels,
+    select,
     series,
     simulate,
 )
@@ -61,29 +60,23 @@ class TestStateSpace:
         assert np.array_equal(sys.D, np.zeros((1, 1)))
 
 
-class TestChannelMap:
+class TestSelect:
     def test_select(self):
         rng = np.random.default_rng(0)
         sys = _rand_sys(rng, 3, 4, 3)
-        cmap = ChannelMap(
-            inputs={"a": [0, 2], "b": [1, 3]}, outputs={"p": [1], "q": [0, 2]}
-        )
-        cmap.validate_cover(sys)
-        sub = select_channels(sys, cmap, ("b",), ("q",))
+        sub = select(sys, [0, 2], [1, 3])
         w = 1.3
         H_full = freq_response(sys, w)
         H_sub = freq_response(sub, w)
         assert np.abs(H_sub - H_full[np.ix_([0, 2], [1, 3])]).max() < 1e-12
 
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelMap(inputs={"a": [0, 1], "b": [1]}, outputs={})
-
-    def test_cover_mismatch_rejected(self):
-        sys = StateSpace([[-1.0]], [[1.0, 0.0]], [[1.0]])
-        cmap = ChannelMap(inputs={"a": [0]}, outputs={"y": [0]})
-        with pytest.raises(ValueError):
-            cmap.validate_cover(sys)
+    @pytest.mark.parametrize(
+        "rows, cols", [([3], None), ([-1], None), (None, [4]), (None, [0, -1])]
+    )
+    def test_out_of_range_rejected(self, rows, cols):
+        sys = _rand_sys(np.random.default_rng(0), 2, 4, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            select(sys, rows, cols)
 
 
 class TestInterconnections:
@@ -147,6 +140,87 @@ class TestInterconnections:
         K = StateSpace.from_gain(np.eye(1))
         with pytest.raises(ValueError):
             feedback(P, K)
+
+
+def _rel_err(H, ref):
+    assert H.shape == ref.shape
+    if not ref.size:
+        return 0.0
+    return np.abs(H - ref).max() / max(1.0, np.abs(ref).max())
+
+
+class TestInterconnectionProperties:
+    """Hypothesis properties of the algebra against pointwise matrix products."""
+
+    @staticmethod
+    def _check(prop, **strategies):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        settings = hypothesis.settings(
+            max_examples=40, deadline=None, derandomize=True, database=None
+        )
+        given = hypothesis.given(
+            seed=st.integers(0, 2**32 - 1),
+            **{k: st.integers(lo, hi) for k, (lo, hi) in strategies.items()},
+        )
+        settings(given(prop))()
+
+    def test_series_associative(self):
+        def prop(seed, n1, n2, n3, m, p, q, r):
+            rng = np.random.default_rng(seed)
+            g1 = _rand_sys(rng, n1, m, p, shift=3.0)
+            g2 = _rand_sys(rng, n2, p, q, shift=3.0)
+            g3 = _rand_sys(rng, n3, q, r, shift=3.0)
+            left, right = series(series(g1, g2), g3), series(g1, series(g2, g3))
+            grid = 10.0 ** rng.uniform(-2, 2, size=5)
+            assert _rel_err(freq_response(left, grid), freq_response(right, grid)) < 1e-10
+
+        self._check(prop, n1=(0, 4), n2=(0, 4), n3=(0, 4), m=(1, 3), p=(1, 3),
+                    q=(1, 3), r=(1, 3))
+
+    def test_series_is_the_product(self):
+        def prop(seed, n1, n2, m, p, q):
+            rng = np.random.default_rng(seed)
+            g1 = _rand_sys(rng, n1, m, p, shift=3.0)
+            g2 = _rand_sys(rng, n2, p, q, shift=3.0)
+            grid = 10.0 ** rng.uniform(-2, 2, size=5)
+            ref = freq_response(g2, grid) @ freq_response(g1, grid)
+            assert _rel_err(freq_response(series(g1, g2), grid), ref) < 1e-10
+
+        self._check(prop, n1=(0, 4), n2=(0, 4), m=(1, 3), p=(1, 3), q=(1, 3))
+
+    def test_close_loop_closed_form(self):
+        # u[l] = K y[o] (+ e): H = G + G[:, l] K (I - G[o, l] K)^-1 G[o, :],
+        # keeping the columns l only when they stay external.
+        def prop(seed, n, nk, m, p, keep):
+            rng = np.random.default_rng(seed)
+            sys = _rand_sys(rng, n, m, p, shift=3.0)
+            l = rng.choice(m, size=rng.integers(1, m + 1), replace=False)
+            o = rng.choice(p, size=rng.integers(1, p + 1), replace=False)
+            ctrl = _rand_sys(rng, nk, len(o), len(l), shift=3.0)
+            ctrl = StateSpace(ctrl.A, ctrl.B, 0.3 * ctrl.C, 0.3 * ctrl.D)
+            cl = close_loop(sys, ctrl, l, o, keep_external=bool(keep))
+            cols = np.arange(m) if keep else np.setdiff1d(np.arange(m), l)
+            for w in 10.0 ** rng.uniform(-2, 2, size=5):
+                G, K = freq_response(sys, w), freq_response(ctrl, w)
+                M = np.eye(len(o)) - G[np.ix_(o, l)] @ K
+                ref = (G + G[:, l] @ K @ np.linalg.solve(M, G[o, :]))[:, cols]
+                assert _rel_err(freq_response(cl, w), ref) < 1e-10 * np.linalg.cond(M)
+
+        self._check(prop, n=(0, 4), nk=(0, 3), m=(1, 3), p=(1, 3), keep=(0, 1))
+
+    def test_select_is_the_sub_block(self):
+        def prop(seed, n, m, p):
+            rng = np.random.default_rng(seed)
+            sys = _rand_sys(rng, n, m, p, shift=3.0)
+            rows = rng.choice(p, size=rng.integers(0, p + 1), replace=True)
+            cols = rng.choice(m, size=rng.integers(0, m + 1), replace=True)
+            grid = 10.0 ** rng.uniform(-2, 2, size=5)
+            H = freq_response(select(sys, rows, cols), grid)
+            ref = freq_response(sys, grid)[:, rows][:, :, cols]
+            assert _rel_err(H, ref) < 1e-12
+
+        self._check(prop, n=(0, 4), m=(1, 4), p=(1, 4))
 
 
 class TestFreqResponse:

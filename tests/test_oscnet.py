@@ -11,6 +11,7 @@ import pytest
 from retrofit_control import (
     ChannelAssignment,
     NetworkSpec,
+    StateSpace,
     boundary_nodes,
     build_network,
     check_admissible,
@@ -100,9 +101,10 @@ class TestPartition:
     def test_dimensions(self):
         spec, assign = paper_benchmark(3.0)
         G, env = partition(build_network(spec), spec, assign)
-        dims = G.dims()
-        assert dims == {
-            "x": 12, "v": 3, "d": 3, "u": 3, "w": 3, "z": 6, "y": 6
+        shapes = {k: getattr(G, k).shape for k in ("A", "B", "L", "W", "Gamma", "S", "C")}
+        assert shapes == {
+            "A": (12, 12), "B": (12, 3), "L": (12, 3), "W": (12, 3),
+            "Gamma": (3, 12), "S": (6, 12), "C": (6, 12),
         }
         assert env.sys.n_inputs == 3 and env.sys.n_outputs == 3
         assert env.sys.n_states == 60
@@ -113,14 +115,18 @@ class TestPartition:
         G, env = partition(full, spec, assign)
         # Close v = env(w): the (d, u) -> (z, y) map must equal the full
         # network's corresponding selection.
+        stacked = StateSpace(
+            G.A, np.hstack([G.L, G.W, G.B]), np.vstack([G.Gamma, G.S, G.C])
+        )
+        nv, nw = G.L.shape[1], G.Gamma.shape[0]
         closed = close_loop(
-            G.sys,
+            stacked,
             env.sys,
-            in_idx=G.cmap.inputs["v"],
-            out_idx=G.cmap.outputs["w"],
+            in_idx=np.arange(nv),
+            out_idx=np.arange(nw),
             keep_external=False,
         )
-        zi = np.concatenate([G.cmap.outputs["z"], G.cmap.outputs["y"]])
+        zi = np.arange(nw, closed.n_outputs)
         n = spec.node_count
         rate = lambda node: n + node
         rows_full = [rate(i) for i in assign.evaluated]

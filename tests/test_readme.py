@@ -22,8 +22,8 @@ def test_quick_start_runs(capsys):
     ns = {}
     exec(compile(_quick_start(), "README.md quick start", "exec"), ns)
     G, K, report = ns["G"], ns["K"], ns["report"]
-    n_meas = sum(len(G.cmap.outputs[g]) for g in ("y", "w")) + len(G.cmap.inputs["v"])
-    assert (K.n_inputs, K.n_outputs) == (n_meas, len(G.cmap.inputs["u"]))
+    n_meas = G.C.shape[0] + G.Gamma.shape[0] + G.L.shape[1]
+    assert (K.n_inputs, K.n_outputs) == (n_meas, G.B.shape[1])
     assert report.stable
     assert report.lower - 1e-9 <= report.gamma_actual <= report.upper + 1e-9
     printed = capsys.readouterr().out.split()

@@ -2,8 +2,12 @@
 
 Gramians are checked against a Kronecker-product linear-solve oracle and a
 scalar closed form; truncation errors are checked against direct norm
-evaluation and the classical twice-the-tail bound.
+evaluation and the classical twice-the-tail bound.  The bound check is
+shown able to fail: with one Hankel value truncated the bound is tight, so
+halving the reported tail makes it FAIL.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,7 +30,14 @@ def _rand_stable(rng, n, m, p, margin=0.5):
 
 
 def _reduction_error(sys, reduced):
-    return hinf_norm(add(sys, negate(reduced)))
+    # At tol=1e-8 the norm's bracket midpoint lies at most 5e-9 relative
+    # above the attained error, well inside the bound check's slack.
+    return hinf_norm(add(sys, negate(reduced)), tol=1e-8)
+
+
+def _within_bound(err, red):
+    """The truncation-bound check: error at most twice the tail, plus slack."""
+    return err <= red.error_bound + 1e-8
 
 
 class TestGramians:
@@ -71,7 +82,19 @@ class TestBalancedTruncate:
             for r in range(0, 8):
                 red = balanced_truncate(sys, r)
                 err = _reduction_error(sys, red.reduced)
-                assert err <= red.error_bound + 1e-8
+                assert _within_bound(err, red)
+
+    def test_bound_check_fails_on_halved_tail(self):
+        # With r = n - 1 the error equals twice the single truncated Hankel
+        # value, so a bound reporting half the tail is exceeded by that value.
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            sys = _rand_stable(rng, 6, 2, 2)
+            red = balanced_truncate(sys, 5)
+            err = _reduction_error(sys, red.reduced)
+            assert _within_bound(err, red)
+            halved = dataclasses.replace(red, error_bound=0.5 * red.error_bound)
+            assert not _within_bound(err, halved)
 
     def test_bound_monotone_in_order(self):
         rng = np.random.default_rng(3)

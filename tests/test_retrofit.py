@@ -15,6 +15,7 @@ from retrofit_control import (
     PartitionedPlant,
     StateSpace,
     assemble_preexisting,
+    build_network,
     cascade_realization,
     check_admissible,
     close_loop,
@@ -32,8 +33,9 @@ from retrofit_control import (
     lqg_module,
     minreal,
     new_subsystem,
+    paper_benchmark,
+    partition,
     performance_bounds,
-    select_channels,
     spectral_abscissa,
 )
 from retrofit_control import add, negate
@@ -63,7 +65,7 @@ def _rectifier_oracle(G, apx, w):
     ``x' = A x + L (v - Ga(s) (w - Gamma x))`` and the outputs are
     ``y - C x`` and ``w - Gamma x``.
     """
-    n = G.sys.n_states
+    n = G.A.shape[0]
     Ga = _apx_transfer(apx, w)
     M = 1j * w * np.eye(n) - G.A - G.L @ Ga @ G.Gamma
     Minv = np.linalg.inv(M)
@@ -81,17 +83,84 @@ def _rectifier_oracle(G, apx, w):
     return T
 
 
+class TestPartitionedPlant:
+    @pytest.mark.parametrize(
+        "name, axis", [("B", 0), ("L", 0), ("W", 0), ("Gamma", 1), ("S", 1), ("C", 1)]
+    )
+    def test_inconsistent_block_refused(self, name, axis):
+        G, _ = _plant(seed=0)
+        blocks = {k: getattr(G, k) for k in ("A", "B", "L", "W", "Gamma", "S", "C")}
+        bad = blocks[name]
+        blocks[name] = np.delete(bad, 0, axis=axis)
+        with pytest.raises(ValueError, match=f"^{name} has"):
+            PartitionedPlant(**blocks)
+
+    def test_blocks_read_only(self):
+        G, _ = _plant(seed=0)
+        with pytest.raises(ValueError):
+            G.L[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            G.A = np.zeros((4, 4))
+
+
+def _new_subsystem_by_close_loop(G, apx):
+    """The blocks of ``G`` closed with ``apx`` over ``(v, w)`` by ``close_loop``.
+
+    The stacked ``(v, d, u) -> (w, z, y)`` plant keeps ``v`` as an external
+    input; the blocks are sliced back out of the closed loop.
+    """
+    nv, nd = G.L.shape[1], G.W.shape[1]
+    nw, nz = G.Gamma.shape[0], G.S.shape[0]
+    stacked = StateSpace(
+        G.A, np.hstack([G.L, G.W, G.B]), np.vstack([G.Gamma, G.S, G.C])
+    )
+    cl = close_loop(stacked, apx.sys, np.arange(nv), np.arange(nw), keep_external=True)
+    return {
+        "A": cl.A,
+        "B": cl.B[:, nv + nd:],
+        "L": cl.B[:, :nv],
+        "W": cl.B[:, nv:nv + nd],
+        "Gamma": cl.C[:nw],
+        "S": cl.C[nw:nw + nz],
+        "C": cl.C[nw + nz:],
+    }
+
+
+class TestNewSubsystem:
+    def _assert_same_blocks(self, G, apx):
+        gplus = new_subsystem(G, apx)
+        for name, ref in _new_subsystem_by_close_loop(G, apx).items():
+            assert np.array_equal(getattr(gplus, name), ref), name
+
+    def test_equals_close_loop_random(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            G = random_partitioned_plant(rng)
+            self._assert_same_blocks(G, random_apx(rng, G))
+
+    def test_equals_close_loop_preset(self):
+        spec, assign = paper_benchmark(10.0)
+        G, env = partition(build_network(spec), spec, assign)
+        self._assert_same_blocks(G, env)
+
+    def test_zero_model_is_the_plant(self):
+        G, _ = _plant(seed=20)
+        gplus = new_subsystem(G, EnvironmentModel.zero(G.L.shape[1], G.Gamma.shape[0]))
+        for name in ("A", "B", "L", "W", "Gamma", "S", "C"):
+            assert np.array_equal(getattr(gplus, name), getattr(G, name)), name
+
+
 class TestExtendedRectifier:
     def test_zero_model_transfer(self):
         # With a zero model the rectified outputs are y - G_yv v, w - G_wv v.
         G, rng = _plant(seed=0)
-        nv = len(G.cmap.inputs["v"])
-        nw = len(G.cmap.outputs["w"])
+        nv = G.L.shape[1]
+        nw = G.Gamma.shape[0]
         rect = extended_rectifier(G, EnvironmentModel.zero(nv, nv))
         ny = G.C.shape[0]
         for w in 10.0 ** rng.uniform(-2, 2, size=20):
             H = freq_response(rect, w)
-            n = G.sys.n_states
+            n = G.A.shape[0]
             R = np.linalg.solve(1j * w * np.eye(n) - G.A, G.L)
             G_yv = G.C @ R
             G_wv = G.Gamma @ R
@@ -130,7 +199,7 @@ class TestExtendedRectifier:
         G, rng = _plant(seed=3)
         apx = EnvironmentModel.from_gain(0.3 * rng.standard_normal((2, 2)))
         rect = extended_rectifier(G, apx)
-        assert rect.n_states == G.sys.n_states
+        assert rect.n_states == G.A.shape[0]
 
     def test_kernel_residual_randomized(self):
         rng = np.random.default_rng(4)
@@ -143,7 +212,7 @@ class TestExtendedRectifier:
 
     def test_sign_flip_breaks_kernel(self):
         G, _ = _plant(seed=5)
-        nv = len(G.cmap.inputs["v"])
+        nv = G.L.shape[1]
         rect = extended_rectifier(G, EnvironmentModel.zero(nv, nv))
         broken = StateSpace(rect.A, rect.B, rect.C, -rect.D)
         assert kernel_residual(G, broken) > 1e-3
@@ -159,7 +228,7 @@ class TestAdmissibility:
 
     def test_destabilizing_environment_rejected(self):
         G, _ = _plant(seed=7)
-        nv = len(G.cmap.inputs["v"])
+        nv = G.L.shape[1]
         env = EnvironmentModel.from_gain(1e3 * np.ones((nv, nv)))
         assert not check_admissible(G, env)
 
@@ -196,11 +265,9 @@ class TestRetrofitComposition:
         assert invariance_residual(G, K) < 1e-8
 
     def test_invariance_residual_large_for_direct(self):
-        from retrofit_control import paper_benchmark, build_network, partition
-
         spec, assign = paper_benchmark(5.0)
         G, env = partition(build_network(spec), spec, assign)
-        nv = len(G.cmap.inputs["v"])
+        nv = G.L.shape[1]
         apx = EnvironmentModel.zero(nv, nv)
         module = lqg_module(new_subsystem(G, apx))
         K_direct = direct_controller(G, module)
@@ -208,7 +275,7 @@ class TestRetrofitComposition:
 
     def test_static_module_realization(self):
         G, rng = _plant(seed=10)
-        nv = len(G.cmap.inputs["v"])
+        nv = G.L.shape[1]
         apx = EnvironmentModel.zero(nv, nv)
         rect = extended_rectifier(G, apx)
         Ky = 0.1 * rng.standard_normal((2, 2))
@@ -221,7 +288,7 @@ class TestRetrofitComposition:
 
     def test_destabilizing_module_rejected(self):
         G, _ = _plant(seed=11)
-        nv = len(G.cmap.inputs["v"])
+        nv = G.L.shape[1]
         apx = EnvironmentModel.zero(nv, nv)
         # Find a static gain that provably destabilizes the design loop.
         for scale in (1.0, -1.0, 10.0, -10.0, 100.0, -100.0, 1e3, -1e3):
@@ -249,7 +316,7 @@ class TestDesignLoop:
                 module = lqg_module(gplus)
             except NumericsError:
                 continue
-            design = select_channels(gplus.sys, gplus.cmap, ("u",), ("y", "w"))
+            design = StateSpace(gplus.A, gplus.B, np.vstack([gplus.C, gplus.Gamma]))
             ref = close_loop(design, module, np.arange(design.n_inputs),
                              np.arange(design.n_outputs))
             up = cascade_realization(G, env, apx, module).upstream
@@ -257,7 +324,7 @@ class TestDesignLoop:
 
     def test_wrong_size_module_rejected(self):
         G, _ = _plant(seed=18)
-        nv = len(G.cmap.inputs["v"])
+        nv = G.L.shape[1]
         bad = StateSpace.zero(2, 5)
         with pytest.raises(ValueError, match="module maps 5 -> 2"):
             compose_retrofit(G, EnvironmentModel.zero(nv, nv), bad)
@@ -328,7 +395,7 @@ class TestPerformanceBounds:
         # standard frequency grid (the bound construction divides by it).
         G, rng = _plant(seed=16)
         env = random_admissible_env(rng, G)
-        n = G.sys.n_states
+        n = G.A.shape[0]
         for w in default_frequency_grid(50):
             Ga = _apx_transfer(env, w)
             M = 1j * w * np.eye(n) - G.A - G.L @ Ga @ G.Gamma

@@ -25,7 +25,7 @@ from retrofit_control.retrofit import new_subsystem, EnvironmentModel
 
 
 def _scalar_plant(a=-1.0):
-    return PartitionedPlant.from_blocks(
+    return PartitionedPlant(
         A=[[a]], B=[[1.0]], L=[[0.0]], W=[[1.0]], Gamma=[[1.0]], S=[[1.0]],
         C=[[1.0]],
     )
@@ -78,7 +78,7 @@ class TestHinfSynthesize:
 
     def test_zero_coupling_gives_vanishing_level(self):
         # z = 0 identically; the controller u = 0 achieves level ~ 0.
-        plant = PartitionedPlant.from_blocks(
+        plant = PartitionedPlant(
             A=[[-1.0]], B=[[1.0]], L=[[0.0]], W=[[1.0]], Gamma=[[1.0]],
             S=[[0.0]], C=[[1.0]],
         )
@@ -90,7 +90,7 @@ class TestHinfSynthesize:
         rng = np.random.default_rng(0)
         n = 4
         A = rng.standard_normal((n, n))
-        plant = PartitionedPlant.from_blocks(
+        plant = PartitionedPlant(
             A=A,
             B=rng.standard_normal((n, 2)),
             L=np.zeros((n, 1)),
@@ -134,7 +134,7 @@ class TestHinfSynthesize:
         # internal decay-rate shift; synthesis must still succeed and the
         # controller must stabilize the remaining dynamics.
         A = np.array([[0.0, 1.0], [0.0, -0.2]])
-        plant = PartitionedPlant.from_blocks(
+        plant = PartitionedPlant(
             A=A,
             B=[[0.0], [1.0]],
             L=[[0.0], [0.0]],
@@ -161,7 +161,7 @@ class TestStaticGains:
 
     def test_gain_layout(self):
         # The feedthrough is [K_y, K_w], columns in (y_hat, w_hat) order.
-        plant = PartitionedPlant.from_blocks(
+        plant = PartitionedPlant(
             A=[[-10.0]], B=[[1.0]], L=[[0.0]], W=[[1.0]], Gamma=[[1.0]],
             S=[[1.0]], C=[[1.0], [1.0]],
         )
@@ -178,7 +178,7 @@ class TestLqgModule:
         rng = np.random.default_rng(1)
         n = 4
         A = rng.standard_normal((n, n))
-        plant = PartitionedPlant.from_blocks(
+        plant = PartitionedPlant(
             A=A,
             B=rng.standard_normal((n, 2)),
             L=rng.standard_normal((n, 1)),
