@@ -90,25 +90,45 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# Keys of a custom ``network`` object (``k_c`` comes from the grid) and of
-# its ``channels`` object; ``_network_at`` reads every one of them.
-_NETWORK_KEYS = (
-    "node_count", "edges", "inertia", "damping", "subsystem_nodes", "channels"
+def _is_list(x, item):
+    return isinstance(x, list) and all(map(item, x))
+
+
+def _is_edge(e):
+    return _is_list(e, _is_number) and len(e) == 3 and _is_list(e[:2], _is_int)
+
+
+# Key -> (check, expected form) of a custom ``network`` object (``k_c``
+# comes from the grid) and of its ``channels`` object; ``_network_at``
+# reads every one of them.
+_NETWORK_KEYS = {
+    "node_count": (_is_int, "an integer"),
+    "edges": (lambda x: _is_list(x, _is_edge), "a list of [i, j, stiffness]"),
+    "inertia": (lambda x: _is_list(x, _is_number), "a list of numbers"),
+    "damping": (lambda x: _is_list(x, _is_number), "a list of numbers"),
+    "subsystem_nodes": (lambda x: _is_list(x, _is_int), "a list of integers"),
+    "channels": (lambda x: isinstance(x, dict), "an object"),
+}
+_CHANNEL_KEYS = dict.fromkeys(
+    ("actuated", "disturbed", "measured", "evaluated", "boundary"),
+    (lambda x: _is_list(x, _is_int), "a list of integers"),
 )
-_CHANNEL_KEYS = ("actuated", "disturbed", "measured", "evaluated", "boundary")
 
 
-def _check_keys(obj, keys, where):
+def _check_keys(obj, checks, where):
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be an object, got {obj!r}")
-    _reject_unknown(obj, keys, where)
-    missing = [k for k in keys if k not in obj]
+    _reject_unknown(obj, checks, where)
+    missing = [k for k in checks if k not in obj]
     if missing:
         raise ValueError(f"{where} lacks key(s): {', '.join(map(repr, missing))}")
+    for key, (ok, form) in checks.items():
+        if not ok(obj[key]):
+            raise ValueError(f"{where} {key} must be {form}")
 
 
 def _check_network(net):
-    """Refuse a ``network`` that is neither the preset nor a complete object."""
+    """Refuse a ``network`` that is neither the preset nor a well-formed object."""
     if net == "paper-benchmark":
         return
     if not isinstance(net, dict):
@@ -127,7 +147,8 @@ def load_config(path):
     ``t_final``, an ``eps``, ``gamma_tol`` or ``norm_tol`` that is not a
     number > 0, a ``seed`` that is not an integer, and a ``network`` that
     is neither ``"paper-benchmark"`` nor an object with exactly the keys a
-    custom network is read from; each error names the key.
+    custom network is read from, each of the right type; each error names
+    the key.
     """
     cfg = dict(DEFAULT_CONFIG)
     cfg["simulate"] = dict(DEFAULT_CONFIG["simulate"])
@@ -230,8 +251,7 @@ def _deflated_stable(T_zd):
 def _design_module(G, apx, alpha, cfg):
     gplus = new_subsystem(G, apx)
     gp = build_generalized_plant(gplus, alpha, eps=cfg["eps"])
-    module, achieved = hinf_synthesize(gp, gamma_tol=cfg["gamma_tol"])
-    return module, achieved
+    return hinf_synthesize(gp, gamma_tol=cfg["gamma_tol"])
 
 
 def _sweep_point(cfg, G, env_min, apx, merr, k_c, napx, alpha):
@@ -280,7 +300,6 @@ def cmd_sweep(cfg, out_dir):
                 tasks.append((G, env_min, apx, merr, k_c, napx, alpha))
 
     results = [None] * len(tasks)
-    warnings = []
     with concurrent.futures.ThreadPoolExecutor(_thread_count()) as pool:
         futures = {
             pool.submit(_sweep_point, cfg, *task): i for i, task in enumerate(tasks)
@@ -288,11 +307,8 @@ def cmd_sweep(cfg, out_dir):
         for fut in concurrent.futures.as_completed(futures):
             results[futures[fut]] = fut.result()
 
-    perf_rows = []
-    for row, warning in results:
-        perf_rows.append(row)
-        if warning:
-            warnings.append(warning)
+    perf_rows = [row for row, _ in results]
+    warnings = [warning for _, warning in results if warning]
 
     _write_csv(
         os.path.join(out_dir, "errors.csv"),
@@ -364,16 +380,9 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
         meta["stable"] = _deflated_stable(casc.T_zd)
         taps = casc.taps()
         y = simulate(casc.tapped, d, dt)
-        z = y[:, taps["z"]]
-        z_hat = y[:, taps["z_hat"]]
-        z_check = y[:, taps["z_check"]]
-        header = (
-            ["t"]
-            + [f"z_{i + 1}" for i in range(nz)]
-            + [f"zhat_{i + 1}" for i in range(nz)]
-            + [f"zcheck_{i + 1}" for i in range(nz)]
-        )
-        rows = np.column_stack([t, z, z_hat, z_check])
+        header = ["t"] + [f"{name}_{i + 1}" for name in ("z", "zhat", "zcheck")
+                          for i in range(nz)]
+        rows = np.column_stack([t] + [y[:, taps[k]] for k in ("z", "z_hat", "z_check")])
 
     _write_csv(os.path.join(out_dir, "timeseries.csv"), header, rows)
     with open(os.path.join(out_dir, "simulate_metadata.json"), "w") as fh:
@@ -442,13 +451,11 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    cfg = load_config(args.config)
     if args.command == "sweep":
-        cfg = load_config(args.config)
         return cmd_sweep(cfg, args.out)
     if args.command == "simulate":
-        cfg = load_config(args.config)
         return cmd_simulate(cfg, args.kc, args.napx, args.alpha, args.mode, args.out)
-    cfg = load_config(args.config)
     return cmd_verify(cfg, args.fuzz_count, args.seed, args.out, args.sabotage)
 
 

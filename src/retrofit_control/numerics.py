@@ -27,6 +27,9 @@ _CROSSING_BAND = 1e-4
 # Cap on the level tests of one norm; each confirmed test raises the bound
 # by more than the tolerance and convergence is quadratic.
 _MAX_LEVELS = 100
+# Complex entries in the (k, n, n) workspace of one batched solve; larger
+# caps raised the peak RSS of a run with no measured speed gain.
+_FREQ_BATCH = 2**12
 
 
 class NumericsError(RuntimeError):
@@ -148,16 +151,27 @@ def solve_care(A, B, Q, R):
     return P
 
 
-def _freq_gain(A, B, C, D, w):
-    """Largest singular value of ``C (jwI - A)^{-1} B + D``."""
+def _freq_eval(A, B, C, D, w):
+    """``(k, p, m)`` stack of ``C (jwI - A)^{-1} B + D`` over the 1-D grid ``w``:
+    batched LU solves of at most ``_FREQ_BATCH`` complex entries, each point
+    bit-equal to its own solve.  No pole guard."""
     n = A.shape[0]
+    H = np.empty((w.size,) + D.shape, dtype=complex)
     if n == 0:
-        G = D
-    else:
-        G = C @ np.linalg.solve(1j * w * np.eye(n) - A, B) + D
-    if G.size == 0:
-        return 0.0
-    return float(np.linalg.svd(G, compute_uv=False)[0])
+        H[:] = D
+        return H
+    step = max(1, _FREQ_BATCH // (n * n))
+    for lo in range(0, w.size, step):
+        g = w[lo:lo + step]
+        M = 1j * g[:, None, None] * np.eye(n) - A
+        X = np.linalg.solve(M, np.broadcast_to(B, (g.size,) + B.shape))
+        H[lo:lo + step] = C @ X + D
+    return H
+
+
+def _freq_gain(A, B, C, D, w):
+    """Largest singular value of ``C (jwI - A)^{-1} B + D`` at each point of ``w``."""
+    return np.linalg.svd(_freq_eval(A, B, C, D, w), compute_uv=False)[:, 0]
 
 
 def _gain_above(A, B, C, D, gamma):
@@ -192,7 +206,7 @@ def _gain_above(A, B, C, D, gamma):
     near = np.abs(eigs.real) <= _CROSSING_BAND * (1.0 + np.abs(eigs))
     freqs = np.unique(np.append(np.abs(eigs[near].imag), 0.0))
     cand = np.concatenate([freqs, 0.5 * (freqs[:-1] + freqs[1:])])
-    best = max(_freq_gain(A, B, C, D, w) for w in cand)
+    best = float(np.max(_freq_gain(A, B, C, D, cand)))
     return best if best > gamma else None
 
 
@@ -200,7 +214,9 @@ def hinf_norm(sys, tol=1e-6):
     """L-infinity norm of an LTI system (H-infinity norm when stable).
 
     Level-set iteration (Bruinsma & Steinbuch 1990; Boyd & Balakrishnan
-    1990): the lower bound ``lo`` is always an attained gain.  Each step
+    1990): the lower bound ``lo`` is always an attained gain, seeded by
+    the feedthrough and by one batched evaluation at 0 and at each distinct
+    pole frequency, so each probe frequency is evaluated once.  Each step
     tests the level ``lo * (1 + tol)`` on its Hamiltonian matrix; a gain
     above it found between the imaginary-axis crossings becomes the new
     ``lo``, and convergence is quadratic.  When no gain exceeds the level,
@@ -232,12 +248,9 @@ def hinf_norm(sys, tol=1e-6):
     if B.size == 0 or C.size == 0:
         return float(np.linalg.svd(D, compute_uv=False)[0]) if D.size else 0.0
 
-    # Seed the lower bound with the feedthrough gain plus a few probe frequencies.
-    probes = [0.0]
-    probes.extend(np.abs(poles.imag[np.abs(poles.imag) > 1e-12]))
-    lo = float(np.linalg.svd(D, compute_uv=False)[0])
-    for w in probes:
-        lo = max(lo, _freq_gain(A, B, C, D, w))
+    probes = np.unique(np.append(np.abs(poles.imag[np.abs(poles.imag) > 1e-12]), 0))
+    lo = max(float(np.linalg.svd(D, compute_uv=False)[0]),
+             float(np.max(_freq_gain(A, B, C, D, probes))))
     if lo <= 1e-13:
         # Possibly the zero system; test a tiny level.
         lo = _gain_above(A, B, C, D, 1e-10)

@@ -208,6 +208,13 @@ class TestSweep:
                  "channels": _without(_network_object(2)["channels"], "boundary")},
                 "boundary",
             ),
+            ("network", {**_network_object(2), "node_count": "36"}, "node_count"),
+            (
+                "network",
+                {**_network_object(2),
+                 "edges": [[0, 1]] + _network_object(2)["edges"][1:]},
+                "edges",
+            ),
         ],
     )
     def test_scalar_values_rejected(self, tmp_path, key, value, match):

@@ -8,6 +8,7 @@ and minimal realization against hand-built nonminimal systems.
 import numpy as np
 import pytest
 
+from retrofit_control import lti
 from retrofit_control import (
     StateSpace,
     add,
@@ -45,6 +46,17 @@ class TestStateSpace:
             sys.A = np.zeros((1, 1))
         with pytest.raises(ValueError):
             sys.A[0, 0] = 5.0
+
+    def test_caller_arrays_stay_writeable(self):
+        A, B, C, D = -np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1))
+        sys = StateSpace(A, B, C, D)
+        for M in (A, B, C, D):
+            assert M.flags.writeable
+            M[0, 0] = 5.0
+        assert np.array_equal(sys.A, -np.eye(2))
+        assert np.array_equal(sys.B, np.ones((2, 1)))
+        assert np.array_equal(sys.C, np.ones((1, 2)))
+        assert np.array_equal(sys.D, np.zeros((1, 1)))
 
     def test_from_gain(self):
         K = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -223,6 +235,22 @@ class TestInterconnectionProperties:
         self._check(prop, n=(0, 4), m=(1, 4), p=(1, 4))
 
 
+def _defective_pair(seed=0):
+    """A defective double pole at +-2j: the real Jordan form under a seeded
+    random similarity.  Its computed eigenvalues sit 1.7e-8 relative off 2j
+    for seed 0 (up to 9e-7 over seeds 0-49)."""
+    rng = np.random.default_rng(seed)
+    J = np.array(
+        [[0.0, 2.0, 1.0, 0.0], [-2.0, 0.0, 0.0, 1.0],
+         [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, -2.0, 0.0]]
+    )
+    T = rng.standard_normal((4, 4))
+    return StateSpace(
+        T @ J @ np.linalg.inv(T), rng.standard_normal((4, 1)),
+        rng.standard_normal((1, 4)),
+    )
+
+
 class TestFreqResponse:
     def test_modal_oracle(self):
         rng = np.random.default_rng(6)
@@ -252,22 +280,41 @@ class TestFreqResponse:
         for w in (2.0, [0.5, 2.0, 3.0], long_grid):
             with pytest.raises(ValueError, match="pole"):
                 freq_response(sys, w)
-        # A defective double pole at +-2j: the real Jordan form under a seeded
-        # random similarity.  Its computed eigenvalues sit 1.7e-8 relative off
-        # 2j for this seed (up to 9e-7 over seeds 0-49), so a guard on the
-        # eigenvalue distance with a 1e-9 band would let s = 2j through.
-        rng = np.random.default_rng(0)
-        J = np.array(
-            [[0.0, 2.0, 1.0, 0.0], [-2.0, 0.0, 0.0, 1.0],
-             [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, -2.0, 0.0]]
-        )
-        T = rng.standard_normal((4, 4))
-        defective = StateSpace(
-            T @ J @ np.linalg.inv(T), rng.standard_normal((4, 1)),
-            rng.standard_normal((1, 4)),
-        )
+        # A defective double pole at +-2j (see _defective_pair): a guard on
+        # the eigenvalue distance with a 1e-9 band would let s = 2j through.
         with pytest.raises(ValueError, match="pole"):
-            freq_response(defective, 2.0)
+            freq_response(_defective_pair(), 2.0)
+
+    def test_band_needed_for_defective_pole(self, monkeypatch):
+        # Without the band around the computed eigenvalues, the point on the
+        # defective pair of test_pole_rejected is evaluated, not refused.
+        defective = _defective_pair()
+        monkeypatch.setattr(lti, "_POLE_BAND", 0.0)
+        assert np.all(np.isfinite(freq_response(defective, 2.0)))
+
+    def test_lightly_damped_pole_in_band_evaluated(self):
+        # Poles at -1e-3 +- 20j: w = 20 lies within the band, 1e-3 / 21 off
+        # the pole relative to 1 + |lambda|, and is well conditioned enough
+        # to be evaluated.
+        rng = np.random.default_rng(3)
+        T = rng.standard_normal((4, 4))
+        J = np.array(
+            [[-1e-3, 20.0, 0.0, 0.0], [-20.0, -1e-3, 0.0, 0.0],
+             [0.0, 0.0, -1.0, 0.5], [0.0, 0.0, 0.0, -2.0]]
+        )
+        sys = _rand_sys(rng, 4, 2, 2)
+        sys = StateSpace(T @ J @ np.linalg.inv(T), sys.B, sys.C, sys.D)
+        evals, V = np.linalg.eig(sys.A)
+        grid = np.array([20.0, 20.0 + 2e-4, 19.999])
+        dist = np.abs(1j * grid[:, None] - evals) / (1.0 + np.abs(evals))
+        assert np.all(np.min(dist, axis=1) <= lti._POLE_BAND)
+        H = freq_response(sys, grid)
+        for Hk, w in zip(H, grid):
+            ref = (
+                sys.C @ V @ np.diag(1.0 / (1j * w - evals))
+                @ np.linalg.solve(V, sys.B) + sys.D
+            )
+            assert np.abs(Hk - ref).max() < 1e-10 * np.abs(ref).max()
 
 
 class TestSimulate:

@@ -10,6 +10,7 @@ matrix exponential, and dense frequency-grid scans for the H-infinity norm.
 import numpy as np
 import pytest
 
+from retrofit_control import numerics
 from retrofit_control import (
     EnvironmentModel,
     NumericsError,
@@ -20,6 +21,7 @@ from retrofit_control import (
     cascade_realization,
     deflate_hidden,
     expm,
+    freq_response,
     hinf_norm,
     hinf_synthesize,
     minreal,
@@ -272,6 +274,51 @@ class TestExpm:
         d = np.array([-1.0, 0.5, 2.0])
         E = expm(np.diag(d))
         assert np.abs(np.diag(E) - np.exp(d)).max() < 1e-12
+
+
+def _scalar_response(A, B, C, D, w):
+    """One point as the unbatched evaluation computed it (bit-level oracle)."""
+    n = A.shape[0]
+    if n == 0:
+        return D
+    return C @ np.linalg.solve(1j * w * np.eye(n) - A, B) + D
+
+
+class TestFreqCore:
+    """The batched core gives every point the bits of its own solve."""
+
+    @staticmethod
+    def _check(sys, grid):
+        A, B, C, D = sys.A, sys.B, sys.C, sys.D
+        ref = np.array([_scalar_response(A, B, C, D, w) for w in grid])
+        gains = [np.linalg.svd(G, compute_uv=False)[0] for G in ref]
+        assert np.array_equal(numerics._freq_gain(A, B, C, D, grid), gains)
+        assert np.array_equal(freq_response(sys, grid), ref)
+
+    @staticmethod
+    def _system(rng, n, m, p):
+        A = rng.standard_normal((n, n))
+        A = A - (spectral_abscissa(A) + 0.1) * np.eye(n)
+        return StateSpace(A, rng.standard_normal((n, m)),
+                          rng.standard_normal((p, n)), rng.standard_normal((p, m)))
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n, m, p = (int(k) for k in rng.integers(1, [40, 4, 4], endpoint=True))
+            self._check(self._system(rng, n, m, p), 10.0 ** rng.uniform(-3, 3, 30))
+
+    def test_grid_spanning_batches(self):
+        rng = np.random.default_rng(9)
+        n = 12
+        grid = np.logspace(-3, 3, 500)
+        assert grid.size > 5 * (numerics._FREQ_BATCH // n**2)
+        self._check(self._system(rng, n, 2, 3), grid)
+
+    def test_repeated_frequencies(self):
+        rng = np.random.default_rng(10)
+        grid = np.repeat([0.0, 0.3, 2.0, 7.5], 3)[np.argsort(rng.random(12))]
+        self._check(self._system(rng, 9, 3, 2), grid)
 
 
 class TestHinfNorm:
