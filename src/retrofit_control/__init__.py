@@ -12,7 +12,6 @@ from .lti import (
     StateSpace,
     add,
     close_loop,
-    feedback,
     freq_response,
     minreal,
     negate,
@@ -49,7 +48,6 @@ from .retrofit import (
     check_admissible,
     closed_loop_direct,
     compose_retrofit,
-    default_frequency_grid,
     deflate_hidden,
     deflated_abscissa,
     direct_controller,

@@ -58,7 +58,7 @@ from .synthesis import (
     build_generalized_plant,
     hinf_synthesize,
 )
-from .verification import run_all_checks, sabotage_rectifier
+from .verification import run_all_checks
 
 CONFIG_SCHEMA = 1
 
@@ -143,8 +143,8 @@ def load_config(path):
     The document must be an object.  Unknown keys, at the top level or
     under ``simulate``, are rejected, and so are grids that are not
     nonempty lists of numbers, a ``napx_grid`` entry that is not an integer
-    >= 0, a ``simulate`` that is not an object with numeric ``dt`` and
-    ``t_final``, an ``eps``, ``gamma_tol`` or ``norm_tol`` that is not a
+    >= 0, a ``simulate`` that is not an object with ``dt`` and ``t_final``
+    numbers > 0, an ``eps``, ``gamma_tol`` or ``norm_tol`` that is not a
     number > 0, a ``seed`` that is not an integer, and a ``network`` that
     is neither ``"paper-benchmark"`` nor an object with exactly the keys a
     custom network is read from, each of the right type; each error names
@@ -172,12 +172,11 @@ def load_config(path):
             raise ValueError(f"{key} must be a nonempty list of numbers, got {grid!r}")
     if not all(_is_int(n) and n >= 0 for n in cfg["napx_grid"]):
         raise ValueError(f"napx_grid must hold integers >= 0, got {cfg['napx_grid']!r}")
-    for key in ("dt", "t_final"):
-        if not _is_number(cfg["simulate"][key]):
-            raise ValueError(f"simulate {key} must be a number")
-    for key in ("eps", "gamma_tol", "norm_tol"):
-        if not (_is_number(cfg[key]) and cfg[key] > 0):
-            raise ValueError(f"{key} must be a number > 0, got {cfg[key]!r}")
+    positive = {f"simulate {k}": cfg["simulate"][k] for k in ("dt", "t_final")}
+    positive.update((k, cfg[k]) for k in ("eps", "gamma_tol", "norm_tol"))
+    for key, value in positive.items():
+        if not (_is_number(value) and value > 0):
+            raise ValueError(f"{key} must be a number > 0, got {value!r}")
     if not _is_int(cfg["seed"]):
         raise ValueError(f"seed must be an integer, got {cfg['seed']!r}")
     _check_network(cfg["network"])
@@ -202,10 +201,13 @@ def _network_at(cfg, k_c):
 
 
 def _thread_count():
-    raw = os.environ.get("RETROFIT_CTL_THREADS", "")
-    if raw.strip():
-        return max(1, int(raw))
-    return min(8, os.cpu_count() or 1)
+    """Sweep workers: ``RETROFIT_CTL_THREADS`` when set, else up to 8 cores."""
+    raw = os.environ.get("RETROFIT_CTL_THREADS", "").strip()
+    if not raw:
+        return min(8, os.cpu_count() or 1)
+    if not (raw.isdecimal() and int(raw) >= 1):
+        raise ValueError(f"RETROFIT_CTL_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _fmt(x):
@@ -282,6 +284,7 @@ def _sweep_point(cfg, G, env_min, apx, merr, k_c, napx, alpha):
 
 
 def cmd_sweep(cfg, out_dir):
+    workers = _thread_count()
     os.makedirs(out_dir, exist_ok=True)
     kc_grid = cfg["kc_grid"]
     napx_grid = cfg["napx_grid"]
@@ -300,7 +303,7 @@ def cmd_sweep(cfg, out_dir):
                 tasks.append((G, env_min, apx, merr, k_c, napx, alpha))
 
     results = [None] * len(tasks)
-    with concurrent.futures.ThreadPoolExecutor(_thread_count()) as pool:
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
         futures = {
             pool.submit(_sweep_point, cfg, *task): i for i, task in enumerate(tasks)
         }
@@ -395,12 +398,9 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
     return 0
 
 
-def cmd_verify(cfg, fuzz_count, seed, out_dir, sabotage=None):
-    mangle = sabotage_rectifier if sabotage == "rectifier-sign-flip" else None
+def cmd_verify(cfg, fuzz_count, seed, out_dir):
     results = run_all_checks(
-        seed=seed if seed is not None else cfg["seed"],
-        fuzz_count=fuzz_count,
-        mangle_rectifier=mangle,
+        seed=seed if seed is not None else cfg["seed"], fuzz_count=fuzz_count
     )
     failures = [r for r in results if not r.passed]
     for r in results:
@@ -444,8 +444,6 @@ def _build_parser():
     p_ver.add_argument("--fuzz-count", type=int, default=None)
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--out", default=".")
-    p_ver.add_argument("--sabotage", choices=("rectifier-sign-flip",), default=None,
-                       help=argparse.SUPPRESS)
     return parser
 
 
@@ -456,7 +454,7 @@ def main(argv=None):
         return cmd_sweep(cfg, args.out)
     if args.command == "simulate":
         return cmd_simulate(cfg, args.kc, args.napx, args.alpha, args.mode, args.out)
-    return cmd_verify(cfg, args.fuzz_count, args.seed, args.out, args.sabotage)
+    return cmd_verify(cfg, args.fuzz_count, args.seed, args.out)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Continuous-time LTI state-space systems and their interconnection algebra.
 
 The positive-feedback sign convention ``(I - P K)^{-1}`` is fixed globally:
-:func:`feedback` and :func:`close_loop` inject the loop signal *additively*
-into the plant input.  All operations return new :class:`StateSpace` values;
+:func:`close_loop` injects the loop signal *additively* into the plant
+input.  All operations return new :class:`StateSpace` values;
 instances are immutable after construction.
 """
 
@@ -17,7 +17,6 @@ __all__ = [
     "series",
     "add",
     "negate",
-    "feedback",
     "close_loop",
     "freq_response",
     "simulate",
@@ -152,14 +151,13 @@ def negate(sys):
     return StateSpace(sys.A, sys.B, -sys.C, -sys.D)
 
 
-def close_loop(sys, ctrl, in_idx, out_idx, keep_external=False):
-    """Close the loop ``u[in_idx] = ctrl(y[out_idx]) (+ external)``.
+def close_loop(sys, ctrl, in_idx, out_idx):
+    """Close the loop ``u[in_idx] = ctrl(y[out_idx])``.
 
-    All outputs of ``sys`` are retained.  When ``keep_external`` is true the
-    looped input columns stay available as external inputs (the controller
-    output is added on top); otherwise they are removed from the input list.
-    The closed-loop state is the plant state stacked over the controller
-    state.  Raises on an algebraic loop (singular ``I - D_loop D_ctrl``).
+    All outputs of ``sys`` are retained and the looped input columns are
+    removed from the input list.  The closed-loop state is the plant state
+    stacked over the controller state.  Raises on an algebraic loop
+    (singular ``I - D_loop D_ctrl``).
     """
     in_idx = _indices(in_idx, sys.n_inputs, "loop input")
     out_idx = _indices(out_idx, sys.n_outputs, "loop output")
@@ -177,13 +175,12 @@ def close_loop(sys, ctrl, in_idx, out_idx, keep_external=False):
     Dso = D[np.ix_(out_idx, other)]
     Ak, Bk, Ck, Dk = ctrl.A, ctrl.B, ctrl.C, ctrl.D
 
-    nl = len(in_idx)
     M = np.eye(len(out_idx)) - Dsl @ Dk
     if np.linalg.cond(M) > 1e12:
         raise ValueError("algebraic loop: I - D_loop D_ctrl is singular")
     Mi = np.linalg.inv(M)
 
-    # y_s = Mi (Cs x + Dsl Ck xk + Dsl e + Dso u_o); u_l = Ck xk + Dk y_s + e
+    # y_s = Mi (Cs x + Dsl Ck xk + Dso u_o); u_l = Ck xk + Dk y_s
     n, nk = sys.n_states, ctrl.n_states
     A_cl = np.block(
         [
@@ -191,51 +188,15 @@ def close_loop(sys, ctrl, in_idx, out_idx, keep_external=False):
             [Bk @ Mi @ Cs, Ak + Bk @ Mi @ Dsl @ Ck],
         ]
     ) if n + nk else np.zeros((0, 0))
-
-    # External input blocks: looped-channel feed (if kept) then the others.
-    B_e = np.vstack(
-        [Bl @ (np.eye(nl) + Dk @ Mi @ Dsl), Bk @ Mi @ Dsl]
-    )
-    B_o = np.vstack([Bo + Bl @ Dk @ Mi @ Dso, Bk @ Mi @ Dso])
+    B_cl = np.vstack([Bo + Bl @ Dk @ Mi @ Dso, Bk @ Mi @ Dso])
 
     # Full output map: y = C x + D_l u_l + D_o u_o with u_l resolved.
     Dl_full = D[:, in_idx]
-    Do_full = D[:, other]
     C_cl = np.hstack(
         [C + Dl_full @ Dk @ Mi @ Cs, Dl_full @ (Ck + Dk @ Mi @ Dsl @ Ck)]
     )
-    D_e = Dl_full @ (np.eye(nl) + Dk @ Mi @ Dsl)
-    D_o = Do_full + Dl_full @ Dk @ Mi @ Dso
-
-    if keep_external:
-        # Preserve the original input ordering with the loop columns in place.
-        B_cl = np.zeros((n + nk, sys.n_inputs))
-        D_cl = np.zeros((sys.n_outputs, sys.n_inputs))
-        B_cl[:, in_idx], B_cl[:, other] = B_e, B_o
-        D_cl[:, in_idx], D_cl[:, other] = D_e, D_o
-    else:
-        B_cl, D_cl = B_o, D_o
+    D_cl = D[:, other] + Dl_full @ Dk @ Mi @ Dso
     return StateSpace(A_cl, B_cl, C_cl, D_cl)
-
-
-def feedback(plant, ctrl, sign=1):
-    """Positive-feedback interconnection ``u = ctrl(y) + external``.
-
-    Maps the external input to the plant output; the transfer matrix is
-    ``(I - P K)^{-1} P = P (I - K P)^{-1}``.  Pass ``sign=-1`` for the
-    negative-feedback variant.
-    """
-    if sign == -1:
-        ctrl = negate(ctrl)
-    elif sign != 1:
-        raise ValueError("sign must be +1 or -1")
-    return close_loop(
-        plant,
-        ctrl,
-        np.arange(plant.n_inputs),
-        np.arange(plant.n_outputs),
-        keep_external=True,
-    )
 
 
 def freq_response(sys, w):
@@ -303,8 +264,9 @@ def simulate(sys, u, dt, x0=None):
     return y
 
 
-def _controllable_basis(A, B, tol, floor=0.0):
-    """Orthonormal basis of the controllable subspace (SVD rank decisions).
+def _controllable_basis(A, B, floor):
+    """Orthonormal basis of the controllable subspace (SVD rank decisions
+    relative to ``_MINREAL_TOL``).
 
     ``floor`` is an absolute singular-value cutoff; without it a block that
     is numerically zero but nonvanishing (e.g. after an exact pole-zero
@@ -326,7 +288,7 @@ def _controllable_basis(A, B, tol, floor=0.0):
             np.linalg.norm(frontier, 2) if frontier.size else 0.0,
             1e-300,
         )
-        keep = s > max(tol * ref, floor)
+        keep = s > max(_MINREAL_TOL * ref, floor)
         if not np.any(keep):
             break
         new = U[:, keep]
@@ -338,26 +300,26 @@ def _controllable_basis(A, B, tol, floor=0.0):
     return basis
 
 
-def minreal(sys, tol=_MINREAL_TOL):
+def minreal(sys):
     """Minimal realization via staircase (Kalman) decomposition.
 
     Removes the uncontrollable subspace, then the unobservable subspace of
     the remainder, using orthogonal projections with relative rank
-    tolerance ``tol``.  The frequency response is preserved.
+    tolerance ``_MINREAL_TOL``.  The frequency response is preserved.
     """
     # Absolute cutoff tied to the input/output coupling scale, so blocks
     # left numerically zero by exact cancellations are dropped.
-    floor = tol * max(
+    floor = _MINREAL_TOL * max(
         np.linalg.norm(sys.B, 2) if sys.B.size else 0.0,
         np.linalg.norm(sys.C, 2) if sys.C.size else 0.0,
     )
     # Controllable part.
-    V = _controllable_basis(sys.A, sys.B, tol, floor)
+    V = _controllable_basis(sys.A, sys.B, floor)
     A = V.T @ sys.A @ V
     B = V.T @ sys.B
     C = sys.C @ V
     # Observable part (dual).
-    W = _controllable_basis(A.T, C.T, tol, floor)
+    W = _controllable_basis(A.T, C.T, floor)
     A = W.T @ A @ W
     B = W.T @ B
     C = C @ W

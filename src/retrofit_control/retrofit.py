@@ -36,7 +36,6 @@ __all__ = [
     "performance_bounds",
     "invariance_residual",
     "kernel_residual",
-    "default_frequency_grid",
     "deflated_abscissa",
     "deflate_hidden",
     "STABILITY_TOL",
@@ -46,9 +45,10 @@ __all__ = [
 STABILITY_TOL = -1e-9
 
 
-def default_frequency_grid(count=200):
-    """Log-spaced frequency grid covering the benchmark dynamics."""
-    return np.logspace(-3.0, 3.0, count)
+# Log-spaced frequency grid covering the benchmark dynamics, on which the
+# invariance and kernel residuals are evaluated.
+_GRID = np.logspace(-3.0, 3.0, 200)
+_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +269,7 @@ def deflate_hidden(sys):
     return _deflate(sys)[1]
 
 
-def check_admissible(G, env, tol=STABILITY_TOL):
+def check_admissible(G, env):
     """Whether the preexisting interconnection of ``G`` and ``env`` is stable.
 
     The verdict is taken on the ``(d, u) -> z`` map after deflating modes
@@ -279,7 +279,7 @@ def check_admissible(G, env, tol=STABILITY_TOL):
     """
     full = _plant_with_env(G, env)
     dz = select(full, np.arange(G.S.shape[0]))
-    return bool(deflated_abscissa(dz) < tol)
+    return bool(deflated_abscissa(dz) < STABILITY_TOL)
 
 
 def new_subsystem(G, apx):
@@ -412,7 +412,6 @@ def closed_loop_direct(G, env, K):
         K,
         in_idx=np.arange(nd, nd + nu),
         out_idx=np.arange(nz, nz + n_meas),
-        keep_external=False,
     )
     return select(closed, np.arange(nz))
 
@@ -491,7 +490,7 @@ def _measured(G):
     )
 
 
-def invariance_residual(G, K, grid=None):
+def invariance_residual(G, K):
     """Deviation of the controller-closed ``v -> w`` map from the open one.
 
     With the environment removed, a retrofit controller leaves the
@@ -500,37 +499,32 @@ def invariance_residual(G, K, grid=None):
     frequency by the open map's gain so strongly coupled networks are not
     penalized for sheer scale.
     """
-    if grid is None:
-        grid = default_frequency_grid()
     meas = _measured(G)
     nv, nd, nu = G.L.shape[1], G.W.shape[1], G.B.shape[1]
     ny, nw = G.C.shape[0], G.Gamma.shape[0]
     closed = close_loop(
-        meas, K, np.arange(nv + nd, nv + nd + nu), np.arange(meas.n_outputs),
-        keep_external=False,
+        meas, K, np.arange(nv + nd, nv + nd + nu), np.arange(meas.n_outputs)
     )
     gwv_closed = select(closed, np.arange(ny, ny + nw), np.arange(nv))
     gwv_open = StateSpace(G.A, G.L, G.Gamma)
 
-    ref = freq_response(gwv_open, grid)
-    delta = freq_response(gwv_closed, grid) - ref
+    ref = freq_response(gwv_open, _GRID)
+    delta = freq_response(gwv_closed, _GRID) - ref
     if not delta.size:
         return 0.0
     scale = np.maximum(1.0, np.linalg.svd(ref, compute_uv=False)[:, 0])
     return float(np.max(np.linalg.svd(delta, compute_uv=False)[:, 0] / scale))
 
 
-def kernel_residual(G, rect, grid=None):
+def kernel_residual(G, rect):
     """Max over the grid of ``||(XR)(jw) G_(y,w,v)v(jw)||``.
 
     ``rect`` is a ``(y, w, v) -> (y_hat, w_hat)`` rectifier of ``G``.  The
     rectifier annihilates every environment-induced component of the
     measurements, so this is zero for any correctly built rectifier.
     """
-    if grid is None:
-        grid = default_frequency_grid()
     gy = select(_measured(G), cols=np.arange(G.L.shape[1]))
-    val = freq_response(rect, grid) @ freq_response(gy, grid)
+    val = freq_response(rect, _GRID) @ freq_response(gy, _GRID)
     return float(np.max(np.linalg.svd(val, compute_uv=False)[:, 0]))
 
 

@@ -153,7 +153,6 @@ def _closed_loop(gp, K):
         K,
         in_idx=np.arange(nw_all, nw_all + gp.n_ctrl),
         out_idx=np.arange(nperf, nperf + gp.n_meas),
-        keep_external=False,
     )
     return select(closed, np.arange(nperf))
 
@@ -254,20 +253,18 @@ def static_gains(K_y, K_w, design_plant):
     return StateSpace.from_gain(np.hstack([K_y, K_w]))
 
 
-def lqg_module(design_plant, q=1.0, r=1.0):
+def lqg_module(design_plant):
     """Observer-based stabilizing module controller for a design plant.
 
     LQR state feedback plus a dual-Riccati observer on the rectified
-    measurements, returned as a ``(y_hat, w_hat) -> u`` StateSpace; useful
+    measurements, both with identity weights, returned as a ``(y_hat, w_hat) -> u`` StateSpace; useful
     as a generic verified module when no H-infinity objective is needed
     (random stability sweeps, tests).
     """
     A, B = design_plant.A, design_plant.B
     C = np.vstack([design_plant.C, design_plant.Gamma])
     n = A.shape[0]
-    P = solve_care(A, B, q * np.eye(n), r * np.eye(B.shape[1]))
-    F = np.linalg.solve(r * np.eye(B.shape[1]), B.T @ P)
-    Po = solve_care(A.T, C.T, q * np.eye(n), r * np.eye(C.shape[0]))
-    Lo = Po @ C.T / r
+    F = B.T @ solve_care(A, B, np.eye(n), np.eye(B.shape[1]))
+    Lo = solve_care(A.T, C.T, np.eye(n), np.eye(C.shape[0])) @ C.T
     Ak = A - B @ F - Lo @ C
     return StateSpace(Ak, Lo, -F, np.zeros((F.shape[0], Lo.shape[1])))

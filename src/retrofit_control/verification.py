@@ -37,7 +37,6 @@ __all__ = [
     "random_partitioned_plant",
     "random_admissible_env",
     "random_apx",
-    "sabotage_rectifier",
     "check_kernel_identity",
     "check_robust_stability",
     "check_cascade_equivalence",
@@ -67,12 +66,12 @@ class CheckResult:
         )
 
 
-def random_statespace(rng, n, m, p, stable=True, margin=0.3):
-    """Random state-space system with a controlled stability margin."""
+def random_statespace(rng, n, m, p, stable=True):
+    """Random state-space system with spectral abscissa -0.3 (stable) or 0.3."""
     A = rng.standard_normal((n, n))
     if n:
         shift = spectral_abscissa(A)
-        target = -margin if stable else margin
+        target = -0.3 if stable else 0.3
         A = A + (target - shift) * np.eye(n)
     B = rng.standard_normal((n, m))
     C = rng.standard_normal((p, n))
@@ -80,26 +79,26 @@ def random_statespace(rng, n, m, p, stable=True, margin=0.3):
     return StateSpace(A, B, C, D)
 
 
-def random_partitioned_plant(rng, n=4, nv=2, nw=2, nd=2, nu=2, nz=2, ny=2):
-    """Random stable, strictly proper partitioned plant."""
-    core = random_statespace(rng, n, 1, 1, stable=True)
+def random_partitioned_plant(rng):
+    """Random stable, strictly proper partitioned plant: 4 states, channels 2 wide."""
+    core = random_statespace(rng, 4, 1, 1, stable=True)
     return PartitionedPlant(
         core.A,
-        rng.standard_normal((n, nu)),
-        rng.standard_normal((n, nv)),
-        rng.standard_normal((n, nd)),
-        rng.standard_normal((nw, n)),
-        rng.standard_normal((nz, n)),
-        rng.standard_normal((ny, n)),
+        rng.standard_normal((4, 2)),
+        rng.standard_normal((4, 2)),
+        rng.standard_normal((4, 2)),
+        rng.standard_normal((2, 4)),
+        rng.standard_normal((2, 4)),
+        rng.standard_normal((2, 4)),
     )
 
 
-def random_admissible_env(rng, G, n_states=2, max_tries=60):
+def random_admissible_env(rng, G):
     """Random stable environment scaled until the interconnection is admissible."""
     nv, nw = G.L.shape[1], G.Gamma.shape[0]
-    cand = random_statespace(rng, n_states, nw, nv, stable=True)
+    cand = random_statespace(rng, 2, nw, nv, stable=True)
     scale = 1.0
-    for _ in range(max_tries):
+    for _ in range(60):
         env = EnvironmentModel(
             StateSpace(cand.A, cand.B, scale * cand.C, scale * cand.D)
         )
@@ -115,8 +114,8 @@ def _full_loop_stable(G, env):
     return spectral_abscissa(assemble_preexisting(G, env).A) < 0.0
 
 
-def random_apx(rng, G, n_states=2):
-    """Random approximate environment model: static, stable, or unstable."""
+def random_apx(rng, G):
+    """Random approximate environment model: static, or 2-state stable or unstable."""
     nv, nw = G.L.shape[1], G.Gamma.shape[0]
     kind = rng.integers(0, 4)
     if kind == 0:
@@ -124,12 +123,12 @@ def random_apx(rng, G, n_states=2):
     if kind == 1:
         return EnvironmentModel.zero(nv, nw)
     stable = kind == 2
-    return EnvironmentModel(random_statespace(rng, n_states, nw, nv, stable=stable))
+    return EnvironmentModel(random_statespace(rng, 2, nw, nv, stable=stable))
 
 
-def _verified_module(rng, G, apx, max_tries=5):
+def _verified_module(rng, G, apx):
     """Stabilizing module for the design plant, resampling apx on failure."""
-    for _ in range(max_tries):
+    for _ in range(5):
         try:
             gplus = new_subsystem(G, apx)
             module = lqg_module(gplus)
@@ -139,12 +138,7 @@ def _verified_module(rng, G, apx, max_tries=5):
     raise NumericsError("could not stabilize any sampled design plant")
 
 
-def sabotage_rectifier(rect):
-    """Sign-flip the rectifier feedthrough (mutation hook for self-testing)."""
-    return StateSpace(rect.A, rect.B, rect.C, -rect.D)
-
-
-def check_kernel_identity(seed=0, n_plants=20, n_apx=20, tol=1e-8, mangle=None):
+def check_kernel_identity(seed=0, n_plants=20, n_apx=20, tol=1e-8):
     """Rectified outputs are annihilated along the environment channel.
 
     Max over plants, models and the frequency grid of
@@ -158,10 +152,7 @@ def check_kernel_identity(seed=0, n_plants=20, n_apx=20, tol=1e-8, mangle=None):
         G = random_partitioned_plant(rng)
         for ia in range(max(1, n_apx // n_plants)):
             apx = random_apx(rng, G)
-            rect = extended_rectifier(G, apx)
-            if mangle is not None:
-                rect = mangle(rect)
-            val = kernel_residual(G, rect)
+            val = kernel_residual(G, extended_rectifier(G, apx))
             cases += 1
             if val > worst:
                 worst = val
@@ -252,12 +243,15 @@ def check_bound_sandwich(seed=0, n_cases=10, slack=1e-9):
 def check_matrix_identities(seed=0, n_cases=20, tol=1e-9):
     """Pointwise loop-algebra identities for random square transfer matrices.
 
-    Checks ``(I+PK)^{-1} = I + PK(I-PK)^{-1}`` and
-    ``(I-PK)^{-1}P = P(I-KP)^{-1}`` at random frequencies.
+    Checks ``(I+PK)^{-1} = I - PK(I+PK)^{-1}`` and
+    ``(I-PK)^{-1}P = P(I-KP)^{-1}`` at random frequencies.  A case where
+    any of the three inverted matrices has condition number above 1e10 is
+    skipped and not counted.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_case = {}
+    cases = 0
     for ic in range(n_cases):
         m = int(rng.integers(1, 4))
         P = random_statespace(rng, 3, m, m, stable=True)
@@ -266,12 +260,13 @@ def check_matrix_identities(seed=0, n_cases=20, tol=1e-9):
         Pw = freq_response(P, w)
         Kw = freq_response(K, w)
         eye = np.eye(m)
-        if min(
+        if max(
             np.linalg.cond(eye - Pw @ Kw),
             np.linalg.cond(eye + Pw @ Kw),
             np.linalg.cond(eye - Kw @ Pw),
         ) > 1e10:
             continue
+        cases += 1
         lhs1 = np.linalg.inv(eye + Pw @ Kw)
         rhs1 = eye - Pw @ Kw @ np.linalg.inv(eye + Pw @ Kw)
         lhs2 = np.linalg.inv(eye - Pw @ Kw) @ Pw
@@ -283,18 +278,17 @@ def check_matrix_identities(seed=0, n_cases=20, tol=1e-9):
         if val > worst:
             worst = val
             worst_case = {"seed": seed, "case": ic}
-    return CheckResult("matrix identities", worst <= tol, worst, tol, n_cases,
+    return CheckResult("matrix identities", worst <= tol, worst, tol, cases,
                        replay=worst_case)
 
 
-def run_all_checks(seed=0, fuzz_count=None, mangle_rectifier=None):
+def run_all_checks(seed=0, fuzz_count=None):
     """Run the full invariant suite; returns the list of results.
 
     ``fuzz_count`` (default 50) is the number of admissible environments
     in the robust-stability check; the other checks keep their own sample
     sizes.  0 keeps only the matrix-identity check, and negative counts are
-    rejected.  ``mangle_rectifier`` is a mutation hook applied inside the
-    kernel check.
+    rejected.
     """
     if fuzz_count is None:
         fuzz_count = 50
@@ -302,9 +296,7 @@ def run_all_checks(seed=0, fuzz_count=None, mangle_rectifier=None):
         raise ValueError(f"fuzz_count must be nonnegative, got {fuzz_count}")
     results = [check_matrix_identities(seed=seed)]
     if fuzz_count > 0:
-        results.append(
-            check_kernel_identity(seed=seed, mangle=mangle_rectifier)
-        )
+        results.append(check_kernel_identity(seed=seed))
         results.append(check_robust_stability(seed=seed, n_env=fuzz_count, n_apx=10))
         results.append(check_cascade_equivalence(seed=seed))
         results.append(check_bound_sandwich(seed=seed))

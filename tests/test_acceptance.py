@@ -42,6 +42,11 @@ from retrofit_control.verification import (
 CLI = [sys.executable, "-m", "retrofit_control.cli"]
 
 
+def _read_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
 def _report(num, name, passed, detail):
     line = f"criterion {num:2d} {name}: {'PASS' if passed else 'FAIL'} ({detail})"
     sys.__stdout__.write(line + "\n")
@@ -64,8 +69,8 @@ def sweep(tmp_path_factory):
     )
     elapsed = time.monotonic() - t0
     assert proc.returncode == 0, proc.stderr
-    rows = list(csv.DictReader(open(out / "performance.csv")))
-    errs = list(csv.DictReader(open(out / "errors.csv")))
+    rows = _read_rows(out / "performance.csv")
+    errs = _read_rows(out / "errors.csv")
     return rows, errs, elapsed
 
 

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from retrofit_control import paper_benchmark
+from retrofit_control import StateSpace, paper_benchmark, verification
 from retrofit_control.cli import load_config, main
 
 CLI = [sys.executable, "-m", "retrofit_control.cli"]
@@ -47,6 +47,11 @@ def _network_object(k_c, seed=6):
             for name in ("actuated", "disturbed", "measured", "evaluated", "boundary")
         },
     }
+
+
+def _read_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
 
 
 def _without(d, key):
@@ -101,7 +106,7 @@ class TestSweep:
 
     def test_row_contents(self, single_point):
         _, out = single_point
-        rows = list(csv.DictReader(open(out / "performance.csv")))
+        rows = _read_rows(out / "performance.csv")
         assert len(rows) == 1
         r = rows[0]
         assert r["stable_retrofit"] == "true"
@@ -176,6 +181,9 @@ class TestSweep:
             ([0.02, 5.0], "simulate"),
             ({"dt": "0.02"}, "dt"),
             ({"t_final": None}, "t_final"),
+            ({"dt": 0}, "dt"),
+            ({"dt": -0.02}, "dt"),
+            ({"t_final": -1}, "t_final"),
         ],
     )
     def test_simulate_value_types_rejected(self, tmp_path, value, key):
@@ -263,16 +271,26 @@ class TestSweep:
                 env={**os.environ, "RETROFIT_CTL_THREADS": threads},
             )
             assert proc.returncode == 0, proc.stderr
-        rows = list(csv.DictReader(open(outs["1"] / "performance.csv")))
+        rows = _read_rows(outs["1"] / "performance.csv")
         assert len(rows) == 4
         for name in ("errors.csv", "performance.csv"):
             assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+    @pytest.mark.parametrize("threads", ["two", "0", "-3", "1.5"])
+    def test_bad_thread_count_rejected(self, tmp_path, monkeypatch, threads):
+        # Refused before any environment is built or any output is written.
+        monkeypatch.setenv("RETROFIT_CTL_THREADS", threads)
+        cfg = _write_cfg(tmp_path / "cfg.json")
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="RETROFIT_CTL_THREADS"):
+            main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
 
 
 class TestSimulate:
     def test_retrofit_tap_additivity(self, simulated):
         out = simulated["retrofit"]
-        rows = list(csv.DictReader(open(out / "timeseries.csv")))
+        rows = _read_rows(out / "timeseries.csv")
         assert rows
         z_cols = [c for c in rows[0] if c.startswith("z_")]
         assert z_cols
@@ -287,7 +305,7 @@ class TestSimulate:
     def test_none_mode_is_open_loop(self, simulated):
         # Without control and without modeling error the downstream tap
         # vanishes, so z equals the upstream component alone.
-        rows = list(csv.DictReader(open(simulated["none"] / "timeseries.csv")))
+        rows = _read_rows(simulated["none"] / "timeseries.csv")
         assert rows
         # Impulse response decays for the damped stable network.
         z0_early = abs(float(rows[5]["z_1"]))
@@ -296,7 +314,7 @@ class TestSimulate:
 
     def test_direct_mode_outputs(self, simulated):
         out = simulated["direct"]
-        rows = list(csv.DictReader(open(out / "timeseries.csv")))
+        rows = _read_rows(out / "timeseries.csv")
         assert rows
         assert any(c.startswith("z_") for c in rows[0])
         assert not any(c.startswith("zhat_") for c in rows[0])
@@ -316,16 +334,19 @@ class TestVerify:
         assert len(lines) >= 4
         assert not (tmp_path / "verify_failures.json").exists()
 
-    def test_sabotage_fails(self, tmp_path):
-        proc = _run(
-            "verify", "--fuzz-count", "5", "--seed", "0",
-            "--out", str(tmp_path), "--sabotage", "rectifier-sign-flip",
-            check=False,
-        )
-        assert proc.returncode != 0
-        assert any(
-            l.startswith("FAIL") for l in proc.stdout.splitlines()
-        )
+    def test_kernel_mutant_fails(self, tmp_path, monkeypatch, capsys):
+        # The rectifier with its feedthrough sign flipped, patched in.
+        real = verification.extended_rectifier
+
+        def flipped(G, apx):
+            rect = real(G, apx)
+            return StateSpace(rect.A, rect.B, rect.C, -rect.D)
+
+        monkeypatch.setattr(verification, "extended_rectifier", flipped)
+        code = main(["verify", "--fuzz-count", "5", "--seed", "0",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "FAIL  kernel identity" in capsys.readouterr().out
         assert (tmp_path / "verify_failures.json").exists()
 
     def test_negative_fuzz_count_rejected(self, tmp_path):
@@ -342,13 +363,3 @@ class TestVerify:
             "verify", "--fuzz-count", "0", "--seed", "0", "--out", str(tmp_path),
         )
         assert proc.stdout.splitlines()[-1] == "all 1 checks passed"
-
-    def test_unknown_sabotage_rejected(self, tmp_path):
-        # A misspelled mutation must not silently run the unsabotaged suite.
-        proc = _run(
-            "verify", "--fuzz-count", "0", "--seed", "0",
-            "--out", str(tmp_path), "--sabotage", "rectifier-sign-flop",
-            check=False,
-        )
-        assert proc.returncode != 0
-        assert "invalid choice" in proc.stderr

@@ -13,7 +13,6 @@ from retrofit_control import (
     StateSpace,
     add,
     close_loop,
-    feedback,
     freq_response,
     minreal,
     negate,
@@ -110,31 +109,11 @@ class TestInterconnections:
             ref = freq_response(g1, w) - freq_response(g2, w)
             assert np.abs(freq_response(total, w) - ref).max() < 1e-10
 
-    def test_feedback_pointwise(self):
-        rng = np.random.default_rng(3)
-        P = _rand_sys(rng, 4, 2, 2)
-        K = _rand_sys(rng, 3, 2, 2, shift=3.0)
-        cl = feedback(P, K)
-        for w in 10.0 ** rng.uniform(-2, 2, size=50):
-            Pw, Kw = freq_response(P, w), freq_response(K, w)
-            ref = Pw @ np.linalg.inv(np.eye(2) - Kw @ Pw)
-            assert np.abs(freq_response(cl, w) - ref).max() < 1e-9
-
-    def test_feedback_negative_sign(self):
-        rng = np.random.default_rng(4)
-        P = _rand_sys(rng, 3, 2, 2)
-        K = _rand_sys(rng, 2, 2, 2, shift=3.0)
-        cl = feedback(P, K, sign=-1)
-        w = 0.7
-        Pw, Kw = freq_response(P, w), freq_response(K, w)
-        ref = Pw @ np.linalg.inv(np.eye(2) + Kw @ Pw)
-        assert np.abs(freq_response(cl, w) - ref).max() < 1e-10
-
     def test_close_loop_partial_channels(self):
         rng = np.random.default_rng(5)
         sys = _rand_sys(rng, 4, 3, 3)
         ctrl = _rand_sys(rng, 2, 1, 1, shift=3.0)
-        cl = close_loop(sys, ctrl, in_idx=[1], out_idx=[2], keep_external=False)
+        cl = close_loop(sys, ctrl, in_idx=[1], out_idx=[2])
         assert cl.n_inputs == 2
         assert cl.n_outputs == 3
         w = 1.1
@@ -150,8 +129,8 @@ class TestInterconnections:
     def test_algebraic_loop_rejected(self):
         P = StateSpace.from_gain(np.eye(1))
         K = StateSpace.from_gain(np.eye(1))
-        with pytest.raises(ValueError):
-            feedback(P, K)
+        with pytest.raises(ValueError, match="algebraic loop"):
+            close_loop(P, K, [0], [0])
 
 
 def _rel_err(H, ref):
@@ -202,24 +181,24 @@ class TestInterconnectionProperties:
         self._check(prop, n1=(0, 4), n2=(0, 4), m=(1, 3), p=(1, 3), q=(1, 3))
 
     def test_close_loop_closed_form(self):
-        # u[l] = K y[o] (+ e): H = G + G[:, l] K (I - G[o, l] K)^-1 G[o, :],
-        # keeping the columns l only when they stay external.
-        def prop(seed, n, nk, m, p, keep):
+        # u[l] = K y[o]: H = G + G[:, l] K (I - G[o, l] K)^-1 G[o, :],
+        # without the columns l.
+        def prop(seed, n, nk, m, p):
             rng = np.random.default_rng(seed)
             sys = _rand_sys(rng, n, m, p, shift=3.0)
             l = rng.choice(m, size=rng.integers(1, m + 1), replace=False)
             o = rng.choice(p, size=rng.integers(1, p + 1), replace=False)
             ctrl = _rand_sys(rng, nk, len(o), len(l), shift=3.0)
             ctrl = StateSpace(ctrl.A, ctrl.B, 0.3 * ctrl.C, 0.3 * ctrl.D)
-            cl = close_loop(sys, ctrl, l, o, keep_external=bool(keep))
-            cols = np.arange(m) if keep else np.setdiff1d(np.arange(m), l)
+            cl = close_loop(sys, ctrl, l, o)
+            cols = np.setdiff1d(np.arange(m), l)
             for w in 10.0 ** rng.uniform(-2, 2, size=5):
                 G, K = freq_response(sys, w), freq_response(ctrl, w)
                 M = np.eye(len(o)) - G[np.ix_(o, l)] @ K
                 ref = (G + G[:, l] @ K @ np.linalg.solve(M, G[o, :]))[:, cols]
                 assert _rel_err(freq_response(cl, w), ref) < 1e-10 * np.linalg.cond(M)
 
-        self._check(prop, n=(0, 4), nk=(0, 3), m=(1, 3), p=(1, 3), keep=(0, 1))
+        self._check(prop, n=(0, 4), nk=(0, 3), m=(1, 3), p=(1, 3))
 
     def test_select_is_the_sub_block(self):
         def prop(seed, n, m, p):

@@ -124,7 +124,6 @@ class TestPartition:
             env.sys,
             in_idx=np.arange(nv),
             out_idx=np.arange(nw),
-            keep_external=False,
         )
         zi = np.arange(nw, closed.n_outputs)
         n = spec.node_count

@@ -2,9 +2,12 @@
 
 Each check runs once as shipped, where it must pass, and once against a
 mutant of the quantity it guards, patched in from the test, where it must
-fail.  The mutants: the cascade's downstream coupling block scaled, a
-performance report without its gap term, and the module implemented
-directly, without the rectifier, in place of the retrofit controller.
+fail.  The mutants: the rectifier with the sign of its feedthrough
+flipped, the cascade's downstream coupling block scaled, a performance
+report without its gap term, and the module implemented directly, without
+the rectifier, in place of the retrofit controller.  The matrix-identity
+check is also run on transfer matrices that make a loop singular, where it
+must skip the case rather than raise.
 """
 
 import dataclasses
@@ -15,6 +18,8 @@ from retrofit_control import StateSpace, direct_controller, verification
 from retrofit_control.verification import (
     check_bound_sandwich,
     check_cascade_equivalence,
+    check_kernel_identity,
+    check_matrix_identities,
     check_robust_stability,
 )
 
@@ -33,6 +38,36 @@ def _scaled_coupling(casc):
     A[n_up:, :n_up] *= 1.5
     t = casc.tapped
     return dataclasses.replace(casc, tapped=StateSpace(A, t.B, t.C, t.D))
+
+
+class TestKernelIdentity:
+    def test_passes(self):
+        assert check_kernel_identity(seed=0).passed
+
+    def test_fails_on_flipped_feedthrough(self, monkeypatch):
+        real = verification.extended_rectifier
+
+        def flipped(G, apx):
+            rect = real(G, apx)
+            return StateSpace(rect.A, rect.B, rect.C, -rect.D)
+
+        monkeypatch.setattr(verification, "extended_rectifier", flipped)
+        res = check_kernel_identity(seed=0)
+        assert not res.passed
+        assert res.worst > 1e3 * res.tol
+
+
+class TestMatrixIdentities:
+    def test_singular_loop_skipped(self, monkeypatch):
+        # Identity responses make I - PK zero: every case must be skipped,
+        # none inverted, and none counted.
+        monkeypatch.setattr(
+            verification, "freq_response",
+            lambda sys, w: np.eye(sys.n_outputs, sys.n_inputs),
+        )
+        res = check_matrix_identities(seed=0)
+        assert res.cases == 0
+        assert res.worst == 0.0
 
 
 class TestCascadeEquivalence:
