@@ -38,7 +38,6 @@ from .oscnet import (
 )
 from .reduction import BalancedReduction, balanced_truncate, gramians
 from .retrofit import (
-    CascadeRealization,
     EnvironmentModel,
     PartitionedPlant,
     PerformanceReport,
@@ -63,7 +62,6 @@ from .synthesis import (
     build_generalized_plant,
     hinf_synthesize,
     lqg_module,
-    static_gains,
 )
 
 __version__ = "0.1.0"

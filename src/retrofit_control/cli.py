@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .lti import StateSpace, add, minreal, negate, simulate
+from .lti import StateSpace, add, minreal, negate, select, simulate
 from .numerics import NumericsError, hinf_norm
 from .oscnet import (
     BENCHMARK_SEED,
@@ -302,13 +302,8 @@ def cmd_sweep(cfg, out_dir):
             for alpha in alpha_grid:
                 tasks.append((G, env_min, apx, merr, k_c, napx, alpha))
 
-    results = [None] * len(tasks)
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        futures = {
-            pool.submit(_sweep_point, cfg, *task): i for i, task in enumerate(tasks)
-        }
-        for fut in concurrent.futures.as_completed(futures):
-            results[futures[fut]] = fut.result()
+        results = list(pool.map(lambda task: _sweep_point(cfg, *task), tasks))
 
     perf_rows = [row for row, _ in results]
     warnings = [warning for _, warning in results if warning]
@@ -371,21 +366,16 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
     d[0, 0] = 1.0 / dt  # impulse at the first disturbance channel
 
     if mode == "direct":
-        T_zd = closed_loop_direct(G, env_min, direct_controller(G, module))
-        meta["stable"] = _deflated_stable(T_zd)
-        z = simulate(T_zd, d, dt)
-        header = ["t"] + [f"z_{i + 1}" for i in range(nz)]
-        rows = np.column_stack([t, z])
+        sys_out = closed_loop_direct(G, env_min, direct_controller(G, module))
+        names = ("z",)
     else:
         if mode == "retrofit":
             compose_retrofit(G, apx, module)
-        casc = cascade_realization(G, env_min, apx, module)
-        meta["stable"] = _deflated_stable(casc.T_zd)
-        taps = casc.taps()
-        y = simulate(casc.tapped, d, dt)
-        header = ["t"] + [f"{name}_{i + 1}" for name in ("z", "zhat", "zcheck")
-                          for i in range(nz)]
-        rows = np.column_stack([t] + [y[:, taps[k]] for k in ("z", "z_hat", "z_check")])
+        sys_out = cascade_realization(G, env_min, apx, module)
+        names = ("z", "zhat", "zcheck")
+    meta["stable"] = _deflated_stable(select(sys_out, np.arange(nz)))
+    header = ["t"] + [f"{name}_{i + 1}" for name in names for i in range(nz)]
+    rows = np.column_stack([t, simulate(sys_out, d, dt)])
 
     _write_csv(os.path.join(out_dir, "timeseries.csv"), header, rows)
     with open(os.path.join(out_dir, "simulate_metadata.json"), "w") as fh:
@@ -441,7 +431,7 @@ def _build_parser():
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     p_ver.add_argument("--config", default=None)
-    p_ver.add_argument("--fuzz-count", type=int, default=None)
+    p_ver.add_argument("--fuzz-count", type=int, default=50)
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--out", default=".")
     return parser

@@ -20,7 +20,7 @@ __all__ = [
 ]
 
 # Relative threshold for treating an eigenvalue as lying on the imaginary axis.
-_IMAG_AXIS_TOL = 1e-9
+_IMAG_TOL = 1e-9
 # Relative band, to 1 + |lambda|, for candidate crossings of a level's
 # Hamiltonian; candidates count only through evaluated gains.
 _CROSSING_BAND = 1e-4
@@ -112,7 +112,7 @@ def solve_riccati(A, S, Q):
     H = np.block([[A, -S], [-Q, -A.T]])
     eigs = np.linalg.eigvals(H)
     scale = max(1.0, np.max(np.abs(eigs)))
-    if np.min(np.abs(eigs.real)) <= _IMAG_AXIS_TOL * scale:
+    if np.min(np.abs(eigs.real)) <= _IMAG_TOL * scale:
         raise NumericsError(
             "Hamiltonian matrix has eigenvalues on the imaginary axis; "
             "no stabilizing Riccati solution exists"
@@ -238,7 +238,7 @@ def hinf_norm(sys, tol=1e-6):
 
     if n > 0:
         poles = np.linalg.eigvals(A)
-        on_axis = np.abs(poles.real) <= _IMAG_AXIS_TOL * (1.0 + np.abs(poles))
+        on_axis = np.abs(poles.real) <= _IMAG_TOL * (1.0 + np.abs(poles))
         if np.any(on_axis):
             raise NumericsError(
                 "system has a pole on the imaginary axis at "

@@ -24,7 +24,6 @@ __all__ = [
     "PartitionedPlant",
     "EnvironmentModel",
     "PerformanceReport",
-    "CascadeRealization",
     "assemble_preexisting",
     "check_admissible",
     "new_subsystem",
@@ -129,36 +128,6 @@ class PerformanceReport:
         return self.gamma_hat + self.gamma_check
 
 
-@dataclass(frozen=True)
-class CascadeRealization:
-    """Upstream/downstream cascade equivalent of the closed loop.
-
-    ``upstream`` maps ``d`` to ``(z_hat, w_hat)`` and carries the module
-    controller; ``tapped`` is the whole cascade, the downstream block
-    driven by the upstream state, with outputs ``(z, z_hat, z_check,
-    w_hat)``.
-    """
-
-    upstream: StateSpace
-    tapped: StateSpace
-    n_z: int
-    n_w: int
-
-    @property
-    def T_zd(self):
-        """The plain ``d -> z`` closed loop: the ``z`` rows of ``tapped``."""
-        return select(self.tapped, self.taps()["z"])
-
-    def taps(self):
-        nz, nw = self.n_z, self.n_w
-        return {
-            "z": np.arange(0, nz),
-            "z_hat": np.arange(nz, 2 * nz),
-            "z_check": np.arange(2 * nz, 3 * nz),
-            "w_hat": np.arange(3 * nz, 3 * nz + nw),
-        }
-
-
 def _plant_with_env(G, env):
     """States ``(x, x_env)``, inputs ``(d, u)``, outputs ``(z, y, w, v)``."""
     env.check_dims(G)
@@ -188,12 +157,11 @@ def assemble_preexisting(G, env):
     return select(full, np.arange(G.S.shape[0] + G.C.shape[0]))
 
 
-_AXIS_TOL = 1e-9
 _HIDE_TOL = 1e-7
 
 
 def _split_marginal(sys):
-    """Decouple the modes with real part >= -_AXIS_TOL from the stable rest.
+    """Decouple the modes with real part >= STABILITY_TOL from the stable rest.
 
     Returns ``None`` when no such mode exists, otherwise the strictly
     stable remainder system (an ordered Schur form and a Sylvester solve
@@ -205,7 +173,7 @@ def _split_marginal(sys):
     if n == 0:
         return None
     T, Z, k = scipy.linalg.schur(
-        sys.A, output="real", sort=lambda re, im: re >= -_AXIS_TOL
+        sys.A, output="real", sort=lambda re, im: re >= STABILITY_TOL
     )
     if k == 0:
         return None
@@ -430,11 +398,14 @@ def direct_controller(G, module):
 def cascade_realization(G, env, apx, module):
     """Equivalent cascade form of the closed loop under the retrofit controller.
 
-    The upstream block is the module-controlled design plant driven by
-    ``d``, with output ``z_hat``.  The downstream block carries the
+    Returns the ``d -> (z, z_hat, z_check)`` StateSpace, ``nz`` rows per
+    block.  The upstream block is the module-controlled design plant driven
+    by ``d``, with output ``z_hat``.  The downstream block carries the
     preexisting dynamics (plant and true environment), driven from the
     upstream state through the modeling-error coupling, with output
-    ``z_check``; ``z = z_hat + z_check``.  The module is not checked here:
+    ``z_check``; ``z = z_hat + z_check``.  The state is the upstream states
+    ``(xi_hat, x_apx, x_mod)`` followed by the downstream states
+    ``(xi_check, x_env)``.  The module is not checked here:
     :func:`compose_retrofit` refuses one that does not stabilize the design
     plant.
     """
@@ -444,34 +415,29 @@ def cascade_realization(G, env, apx, module):
     Ca, Da, na = apx.sys.C, apx.sys.D, apx.sys.n_states
     Be, De, ne = env.sys.B, env.sys.D, env.sys.n_states
     n, nm = G.A.shape[0], module.n_states
-    nz, nw, nd = G.S.shape[0], Gamma.shape[0], G.W.shape[1]
+    nz, nd = G.S.shape[0], G.W.shape[1]
+    n_up, n_dn = n + na + nm, n + ne
 
-    # Downstream states (xi_check, x_env), driven by (xi_hat, x_apx).
+    # The downstream block is driven by (xi_hat, x_apx); x_mod does not enter.
     B_dn = np.block(
-        [[L @ (De - Da) @ Gamma, -L @ Ca], [Be @ Gamma, np.zeros((ne, na))]]
-    )
-    Sz_dn = plantE.C[:nz, :]
-
-    # Combined realization with taps (z, z_hat, z_check, w_hat).
-    n_up = n + na + nm
-    n_dn = n + ne
-    A_all = np.block(
         [
-            [upstream.A, np.zeros((n_up, n_dn))],
-            [B_dn @ np.hstack([np.eye(n + na), np.zeros((n + na, nm))]), plantE.A],
+            [L @ (De - Da) @ Gamma, -L @ Ca, np.zeros((n, nm))],
+            [Be @ Gamma, np.zeros((ne, na + nm))],
         ]
+    )
+    A_all = np.block(
+        [[upstream.A, np.zeros((n_up, n_dn))], [B_dn, plantE.A]]
     ) if n_up + n_dn else np.zeros((0, 0))
     B_all = np.vstack([upstream.B, np.zeros((n_dn, nd))])
-    Sz_up = upstream.C[:nz, :]
+    Sz_up, Sz_dn = upstream.C[:nz, :], plantE.C[:nz, :]
     C_all = np.block(
         [
             [Sz_up, Sz_dn],
             [Sz_up, np.zeros((nz, n_dn))],
             [np.zeros((nz, n_up)), Sz_dn],
-            [upstream.C[nz:, :], np.zeros((nw, n_dn))],
         ]
     )
-    return CascadeRealization(upstream, StateSpace(A_all, B_all, C_all), nz, nw)
+    return StateSpace(A_all, B_all, C_all)
 
 
 def _measured(G):
@@ -542,12 +508,13 @@ def performance_bounds(G, env, apx, module, norm_tol=1e-8):
     K = series(extended_rectifier(G, apx), module)
     residual = invariance_residual(G, K)
 
-    abscissa, tz = _deflate(casc.T_zd)
+    nz = G.S.shape[0]
+    abscissa, tz = _deflate(select(casc, np.arange(nz)))
     if not abscissa < STABILITY_TOL:
         return PerformanceReport(np.nan, np.nan, np.nan, False, residual)
 
-    up_hat = select(casc.upstream, np.arange(casc.n_z))
-    down_check = deflate_hidden(select(casc.tapped, casc.taps()["z_check"]))
+    up_hat = select(_design_loop(G, apx, module), np.arange(nz))
+    down_check = deflate_hidden(select(casc, np.arange(2 * nz, 3 * nz)))
     return PerformanceReport(
         hinf_norm(minreal(tz), tol=norm_tol),
         hinf_norm(minreal(up_hat), tol=norm_tol),

@@ -2,9 +2,9 @@
 
 Output-feedback H-infinity synthesis (two-Riccati central controller with
 bisection over the attenuation level) on a generalized plant that stacks
-the evaluation output with the weighted control effort, plus acceptance of
-user-supplied static gains gated by the closed-loop stability check.  Every
-module controller is a plain ``(y_hat, w_hat) -> u`` StateSpace.
+the evaluation output with the weighted control effort, and an
+observer-based stabilizing module.  Every module controller is a plain
+``(y_hat, w_hat) -> u`` StateSpace.
 """
 
 from dataclasses import dataclass, replace
@@ -19,7 +19,6 @@ __all__ = [
     "SynthesisError",
     "build_generalized_plant",
     "hinf_synthesize",
-    "static_gains",
     "lqg_module",
 ]
 
@@ -179,8 +178,9 @@ def hinf_synthesize(gp, gamma_tol=1e-3):
 
     Bisects the attenuation level using the two-Riccati solvability test
     and returns ``(K, gamma)``: the central controller at the last feasible
-    level, a ``(y_hat, w_hat) -> u`` StateSpace, together with that level.  The closed loop is verified internally stable with
-    norm within ``(1 + gamma_tol)`` of the reported level.
+    level, a ``(y_hat, w_hat) -> u`` StateSpace, together with that level.
+    The closed loop is verified internally stable with norm within
+    ``(1 + gamma_tol)`` of the reported level.
     """
     gp_true = gp
     gp = _design_shift(gp)
@@ -231,35 +231,13 @@ def hinf_synthesize(gp, gamma_tol=1e-3):
     raise SynthesisError("central controller failed closed-loop validation")
 
 
-def static_gains(K_y, K_w, design_plant):
-    """The static module ``u = K_y y_hat + K_w w_hat`` after a stability check.
-
-    Returns the state-free ``(y_hat, w_hat) -> u`` StateSpace.  The gate is
-    the spectral abscissa of the design-plant state matrix under the gains;
-    destabilizing gains are rejected with the offending abscissa.
-    """
-    K_y = np.atleast_2d(np.asarray(K_y, dtype=float))
-    K_w = np.atleast_2d(np.asarray(K_w, dtype=float))
-    if K_y.shape[0] != K_w.shape[0]:
-        raise ValueError("static gains disagree on the control dimension")
-    A_cl = design_plant.A + design_plant.B @ (
-        K_y @ design_plant.C + K_w @ design_plant.Gamma
-    )
-    abscissa = spectral_abscissa(A_cl)
-    if not abscissa < 0.0:
-        raise SynthesisError(
-            f"static gains destabilize the design plant (abscissa {abscissa:.3e})"
-        )
-    return StateSpace.from_gain(np.hstack([K_y, K_w]))
-
-
 def lqg_module(design_plant):
     """Observer-based stabilizing module controller for a design plant.
 
     LQR state feedback plus a dual-Riccati observer on the rectified
-    measurements, both with identity weights, returned as a ``(y_hat, w_hat) -> u`` StateSpace; useful
-    as a generic verified module when no H-infinity objective is needed
-    (random stability sweeps, tests).
+    measurements, both with identity weights, returned as a
+    ``(y_hat, w_hat) -> u`` StateSpace; useful as a generic verified module
+    when no H-infinity objective is needed (random stability sweeps, tests).
     """
     A, B = design_plant.A, design_plant.B
     C = np.vstack([design_plant.C, design_plant.Gamma])

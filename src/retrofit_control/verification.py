@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lti import StateSpace, add, freq_response, minreal, negate
+from .lti import StateSpace, add, freq_response, minreal, negate, select
 from .numerics import NumericsError, hinf_norm, spectral_abscissa
 from .retrofit import (
     PartitionedPlant,
@@ -64,6 +64,22 @@ class CheckResult:
             f"{status}  {self.name}: worst {self.worst:.3e} vs tol {self.tol:.1e} "
             f"over {self.cases} cases{('  [' + self.detail + ']') if self.detail else ''}"
         )
+
+
+def _verdict(name, tol, cases, passed=None, detail=""):
+    """Reduce ``(value, replay)`` cases to a result: the largest value and its case.
+
+    The check passes when that value is at most ``tol``, or as ``passed``
+    says when given.  A NaN value counts as the largest, so it fails; a
+    check that evaluated no case fails.
+    """
+    if not cases:
+        return CheckResult(name, False, 0.0, tol, 0, "no case evaluated")
+    values = [value for value, _ in cases]
+    i = int(np.argmax(values))
+    worst = float(values[i])
+    passed = worst <= tol if passed is None else passed
+    return CheckResult(name, bool(passed), worst, tol, len(cases), detail, cases[i][1])
 
 
 def random_statespace(rng, n, m, p, stable=True):
@@ -138,27 +154,19 @@ def _verified_module(rng, G, apx):
     raise NumericsError("could not stabilize any sampled design plant")
 
 
-def check_kernel_identity(seed=0, n_plants=20, n_apx=20, tol=1e-8):
+def check_kernel_identity(seed=0, n_cases=20, tol=1e-8):
     """Rectified outputs are annihilated along the environment channel.
 
-    Max over plants, models and the frequency grid of
+    Max over sampled (plant, model) pairs and the frequency grid of
     ``||(XR)(jw) G_(y,w,v)v(jw)||``; half the sampled models are unstable.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_case = {}
-    cases = 0
-    for ip in range(n_plants):
+    cases = []
+    for ic in range(n_cases):
         G = random_partitioned_plant(rng)
-        for ia in range(max(1, n_apx // n_plants)):
-            apx = random_apx(rng, G)
-            val = kernel_residual(G, extended_rectifier(G, apx))
-            cases += 1
-            if val > worst:
-                worst = val
-                worst_case = {"seed": seed, "plant": ip, "apx": ia}
-    return CheckResult("kernel identity", worst <= tol, worst, tol, cases,
-                       replay=worst_case)
+        rect = extended_rectifier(G, random_apx(rng, G))
+        cases.append((kernel_residual(G, rect), {"seed": seed, "case": ic}))
+    return _verdict("kernel identity", tol, cases)
 
 
 def check_robust_stability(seed=0, n_env=50, n_apx=10, tol=STABILITY_TOL):
@@ -166,25 +174,17 @@ def check_robust_stability(seed=0, n_env=50, n_apx=10, tol=STABILITY_TOL):
     rng = np.random.default_rng(seed)
     G = random_partitioned_plant(rng)
     envs = [random_admissible_env(rng, G) for _ in range(n_env)]
-    worst = -np.inf
-    failures = 0
-    cases = 0
-    worst_case = {}
+    cases = []
     for ia in range(n_apx):
-        apx = random_apx(rng, G)
-        module, apx = _verified_module(rng, G, apx)
+        module, apx = _verified_module(rng, G, random_apx(rng, G))
         K = compose_retrofit(G, apx, module)
         for ie, env in enumerate(envs):
             absc = deflated_abscissa(closed_loop_direct(G, env, K))
-            cases += 1
-            if absc > worst:
-                worst = absc
-                worst_case = {"seed": seed, "apx": ia, "env": ie}
-            if not absc < tol:
-                failures += 1
-    return CheckResult(
-        "robust stability", failures == 0, worst, tol, cases,
-        detail=f"{cases - failures}/{cases} stable", replay=worst_case,
+            cases.append((absc, {"seed": seed, "apx": ia, "env": ie}))
+    stable = sum(absc < tol for absc, _ in cases)
+    return _verdict(
+        "robust stability", tol, cases, passed=stable == len(cases),
+        detail=f"{stable}/{len(cases)} stable",
     )
 
 
@@ -195,49 +195,43 @@ def _relative_gap(sys_a, sys_b):
     return gap / max(ref, 1e-300)
 
 
-def check_cascade_equivalence(seed=0, n_cases=10, tol=1e-6):
-    """Direct interconnection and cascade realization share the same T_zd."""
+def _designs(seed, n_cases):
+    """Sampled ``(G, env, apx, module)`` designs, each module verified."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_case = {}
-    for ic in range(n_cases):
+    for _ in range(n_cases):
         G = random_partitioned_plant(rng)
         env = random_admissible_env(rng, G)
         module, apx = _verified_module(rng, G, random_apx(rng, G))
-        K = compose_retrofit(G, apx, module)
-        direct = closed_loop_direct(G, env, K)
+        yield G, env, apx, module
+
+
+def check_cascade_equivalence(seed=0, n_cases=10, tol=1e-6):
+    """Direct interconnection and cascade realization share the same T_zd."""
+    cases = []
+    for ic, (G, env, apx, module) in enumerate(_designs(seed, n_cases)):
+        direct = closed_loop_direct(G, env, compose_retrofit(G, apx, module))
         casc = cascade_realization(G, env, apx, module)
-        val = _relative_gap(direct, casc.T_zd)
-        if val > worst:
-            worst = val
-            worst_case = {"seed": seed, "case": ic}
-    return CheckResult("cascade equivalence", worst <= tol, worst, tol, n_cases,
-                       replay=worst_case)
+        T_zd = select(casc, np.arange(G.S.shape[0]))
+        cases.append((_relative_gap(direct, T_zd), {"seed": seed, "case": ic}))
+    return _verdict("cascade equivalence", tol, cases)
 
 
 def check_bound_sandwich(seed=0, n_cases=10, slack=1e-9):
     """|gamma_check - gamma_hat| <= ||T_zd|| <= gamma_hat + gamma_check."""
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    worst_case = {}
-    for ic in range(n_cases):
-        G = random_partitioned_plant(rng)
-        env = random_admissible_env(rng, G)
-        module, apx = _verified_module(rng, G, random_apx(rng, G))
+    cases = []
+    for ic, (G, env, apx, module) in enumerate(_designs(seed, n_cases)):
         report = performance_bounds(G, env, apx, module)
+        replay = {"seed": seed, "case": ic}
         if not report.stable:
             return CheckResult(
                 "bound sandwich", False, np.inf, slack, n_cases,
-                detail="unstable closed loop", replay={"seed": seed, "case": ic},
+                detail="unstable closed loop", replay=replay,
             )
         violation = max(
             report.lower - report.gamma_actual, report.gamma_actual - report.upper
         )
-        if violation > worst:
-            worst = violation
-            worst_case = {"seed": seed, "case": ic}
-    return CheckResult("bound sandwich", worst <= slack, worst, slack, n_cases,
-                       replay=worst_case)
+        cases.append((violation, replay))
+    return _verdict("bound sandwich", slack, cases)
 
 
 def check_matrix_identities(seed=0, n_cases=20, tol=1e-9):
@@ -249,9 +243,7 @@ def check_matrix_identities(seed=0, n_cases=20, tol=1e-9):
     skipped and not counted.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_case = {}
-    cases = 0
+    cases = []
     for ic in range(n_cases):
         m = int(rng.integers(1, 4))
         P = random_statespace(rng, 3, m, m, stable=True)
@@ -266,7 +258,6 @@ def check_matrix_identities(seed=0, n_cases=20, tol=1e-9):
             np.linalg.cond(eye - Kw @ Pw),
         ) > 1e10:
             continue
-        cases += 1
         lhs1 = np.linalg.inv(eye + Pw @ Kw)
         rhs1 = eye - Pw @ Kw @ np.linalg.inv(eye + Pw @ Kw)
         lhs2 = np.linalg.inv(eye - Pw @ Kw) @ Pw
@@ -275,23 +266,18 @@ def check_matrix_identities(seed=0, n_cases=20, tol=1e-9):
         val = max(
             np.linalg.norm(lhs1 - rhs1) / scale, np.linalg.norm(lhs2 - rhs2) / scale
         )
-        if val > worst:
-            worst = val
-            worst_case = {"seed": seed, "case": ic}
-    return CheckResult("matrix identities", worst <= tol, worst, tol, cases,
-                       replay=worst_case)
+        cases.append((val, {"seed": seed, "case": ic}))
+    return _verdict("matrix identities", tol, cases)
 
 
-def run_all_checks(seed=0, fuzz_count=None):
+def run_all_checks(seed=0, fuzz_count=50):
     """Run the full invariant suite; returns the list of results.
 
-    ``fuzz_count`` (default 50) is the number of admissible environments
-    in the robust-stability check; the other checks keep their own sample
-    sizes.  0 keeps only the matrix-identity check, and negative counts are
+    ``fuzz_count`` is the number of admissible environments in the
+    robust-stability check; the other checks keep their own sample sizes.
+    0 keeps only the matrix-identity check, and negative counts are
     rejected.
     """
-    if fuzz_count is None:
-        fuzz_count = 50
     if fuzz_count < 0:
         raise ValueError(f"fuzz_count must be nonnegative, got {fuzz_count}")
     results = [check_matrix_identities(seed=seed)]

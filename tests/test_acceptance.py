@@ -89,7 +89,7 @@ def verify_run(tmp_path_factory):
 
 def test_criterion_01_kernel_identity():
     t0 = time.monotonic()
-    res = check_kernel_identity(seed=0, n_plants=20, n_apx=20, tol=1e-8)
+    res = check_kernel_identity(seed=0, n_cases=20, tol=1e-8)
     elapsed = time.monotonic() - t0
     _report(
         1, "kernel identity", res.passed and elapsed < 30.0,

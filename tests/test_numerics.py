@@ -28,6 +28,7 @@ from retrofit_control import (
     new_subsystem,
     paper_benchmark,
     partition,
+    select,
     solve_care,
     solve_lyapunov,
     solve_riccati,
@@ -108,9 +109,8 @@ def _gamma_check_system(k_c, n_apx, alpha, seed):
     apx = EnvironmentModel(balanced_truncate(env.sys, n_apx).reduced)
     module, _ = hinf_synthesize(build_generalized_plant(new_subsystem(G, apx), alpha))
     casc = cascade_realization(G, env, apx, module)
-    zc = casc.tapped
-    rows = casc.taps()["z_check"]
-    return minreal(deflate_hidden(StateSpace(zc.A, zc.B, zc.C[rows, :])))
+    nz = G.S.shape[0]
+    return minreal(deflate_hidden(select(casc, np.arange(2 * nz, 3 * nz))))
 
 
 class TestSpectralAbscissa:

@@ -19,7 +19,6 @@ from retrofit_control import (
     hinf_synthesize,
     lqg_module,
     spectral_abscissa,
-    static_gains,
 )
 from retrofit_control.retrofit import new_subsystem, EnvironmentModel
 
@@ -146,31 +145,6 @@ class TestHinfSynthesize:
         gp = build_generalized_plant(plant, alpha=0.2)
         module, gamma = hinf_synthesize(gp)
         assert np.isfinite(gamma) and gamma > 0.0
-
-
-class TestStaticGains:
-    def test_accepts_stabilizing(self):
-        plant = _scalar_plant(a=-1.0)
-        module = static_gains([[-2.0]], [[0.0]], plant)
-        assert module.n_states == 0
-
-    def test_rejects_destabilizing(self):
-        plant = _scalar_plant(a=-1.0)
-        with pytest.raises(SynthesisError):
-            static_gains([[5.0]], [[0.0]], plant)
-
-    def test_gain_layout(self):
-        # The feedthrough is [K_y, K_w], columns in (y_hat, w_hat) order.
-        plant = PartitionedPlant(
-            A=[[-10.0]], B=[[1.0]], L=[[0.0]], W=[[1.0]], Gamma=[[1.0]],
-            S=[[1.0]], C=[[1.0], [1.0]],
-        )
-        module = static_gains([[1.0, 2.0]], [[3.0]], plant)
-        assert np.array_equal(module.D, np.array([[1.0, 2.0, 3.0]]))
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="control dimension"):
-            static_gains(np.ones((2, 1)), np.ones((1, 1)), _scalar_plant())
 
 
 class TestLqgModule:

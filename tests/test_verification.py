@@ -6,8 +6,9 @@ fail.  The mutants: the rectifier with the sign of its feedthrough
 flipped, the cascade's downstream coupling block scaled, a performance
 report without its gap term, and the module implemented directly, without
 the rectifier, in place of the retrofit controller.  The matrix-identity
-check is also run on transfer matrices that make a loop singular, where it
-must skip the case rather than raise.
+check is also run on transfer matrices that make every loop singular,
+where it must skip each case rather than raise, and then fail, since it
+evaluated nothing.
 """
 
 import dataclasses
@@ -27,17 +28,16 @@ N_CASES = 3
 N_ENV, N_APX = 10, 10
 
 
-def _scaled_coupling(casc):
-    """The cascade with the block ``B_dn`` of ``tapped.A`` scaled by 1.5.
+def _scaled_coupling(casc, n_dn):
+    """The cascade with its block ``B_dn`` scaled by 1.5.
 
-    That block couples the upstream state into the downstream dynamics;
-    ``T_zd`` is read from ``tapped``, so the mutant reaches it too.
+    That block, below the upstream states and left of the last ``n_dn``
+    (downstream) states, couples the upstream state into the downstream
+    dynamics, so the mutant reaches the ``z`` rows too.
     """
-    n_up = casc.upstream.n_states
-    A = np.array(casc.tapped.A)
-    A[n_up:, :n_up] *= 1.5
-    t = casc.tapped
-    return dataclasses.replace(casc, tapped=StateSpace(A, t.B, t.C, t.D))
+    A = np.array(casc.A)
+    A[-n_dn:, :-n_dn] *= 1.5
+    return StateSpace(A, casc.B, casc.C, casc.D)
 
 
 class TestKernelIdentity:
@@ -60,7 +60,8 @@ class TestKernelIdentity:
 class TestMatrixIdentities:
     def test_singular_loop_skipped(self, monkeypatch):
         # Identity responses make I - PK zero: every case must be skipped,
-        # none inverted, and none counted.
+        # none inverted, and none counted; a check that evaluated nothing
+        # fails.
         monkeypatch.setattr(
             verification, "freq_response",
             lambda sys, w: np.eye(sys.n_outputs, sys.n_inputs),
@@ -68,6 +69,8 @@ class TestMatrixIdentities:
         res = check_matrix_identities(seed=0)
         assert res.cases == 0
         assert res.worst == 0.0
+        assert not res.passed
+        assert res.line().startswith("FAIL")
 
 
 class TestCascadeEquivalence:
@@ -78,7 +81,9 @@ class TestCascadeEquivalence:
         real = verification.cascade_realization
         monkeypatch.setattr(
             verification, "cascade_realization",
-            lambda *args: _scaled_coupling(real(*args)),
+            lambda G, env, apx, module: _scaled_coupling(
+                real(G, env, apx, module), G.A.shape[0] + env.sys.n_states
+            ),
         )
         res = check_cascade_equivalence(seed=0, n_cases=N_CASES)
         assert not res.passed
