@@ -161,7 +161,7 @@ def close_loop(sys, ctrl, in_idx, out_idx):
     """
     in_idx = _indices(in_idx, sys.n_inputs, "loop input")
     out_idx = _indices(out_idx, sys.n_outputs, "loop output")
-    other = np.setdiff1d(np.arange(sys.n_inputs), in_idx)
+    other = np.delete(np.arange(sys.n_inputs), in_idx)
     if ctrl.n_inputs != len(out_idx) or ctrl.n_outputs != len(in_idx):
         raise ValueError(
             f"controller maps {ctrl.n_inputs} -> {ctrl.n_outputs}, loop needs "
@@ -176,7 +176,7 @@ def close_loop(sys, ctrl, in_idx, out_idx):
     Ak, Bk, Ck, Dk = ctrl.A, ctrl.B, ctrl.C, ctrl.D
 
     M = np.eye(len(out_idx)) - Dsl @ Dk
-    if np.linalg.cond(M) > 1e12:
+    if M.size and np.linalg.cond(M) > 1e12:
         raise ValueError("algebraic loop: I - D_loop D_ctrl is singular")
     Mi = np.linalg.inv(M)
 

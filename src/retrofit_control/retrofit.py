@@ -100,14 +100,6 @@ class EnvironmentModel:
     def zero(cls, n_v, n_w):
         return cls(StateSpace.zero(n_v, n_w))
 
-    def check_dims(self, plant):
-        nv, nw = plant.L.shape[1], plant.Gamma.shape[0]
-        if self.sys.n_inputs != nw or self.sys.n_outputs != nv:
-            raise ValueError(
-                f"environment maps {self.sys.n_inputs} -> {self.sys.n_outputs}, "
-                f"plant expects {nw} -> {nv}"
-            )
-
 
 @dataclass(frozen=True)
 class PerformanceReport:
@@ -129,12 +121,21 @@ class PerformanceReport:
 
 
 def _plant_with_env(G, env):
-    """States ``(x, x_env)``, inputs ``(d, u)``, outputs ``(z, y, w, v)``."""
-    env.check_dims(G)
+    """States ``(x, x_env)``, inputs ``(d, u)``, outputs ``(z, y, w, v)``.
+
+    The one loop closed by hand: built through ``close_loop`` it costs
+    about three times as much, and it is built for every sampled
+    environment.
+    """
     A, B_u, L, W, Gamma, S, C = G.A, G.B, G.L, G.W, G.Gamma, G.S, G.C
     Ae, Be, Ce, De = env.sys.A, env.sys.B, env.sys.C, env.sys.D
     n, ne = A.shape[0], Ae.shape[0]
-    nd, nu = W.shape[1], B_u.shape[1]
+    nd, nu, nv, nw = W.shape[1], B_u.shape[1], L.shape[1], Gamma.shape[0]
+    if env.sys.n_inputs != nw or env.sys.n_outputs != nv:
+        raise ValueError(
+            f"environment maps {env.sys.n_inputs} -> {env.sys.n_outputs}, "
+            f"plant expects {nw} -> {nv}"
+        )
 
     Afull = np.block(
         [[A + L @ De @ Gamma, L @ Ce], [Be @ Gamma, Ae]]
@@ -271,32 +272,21 @@ def extended_rectifier(G, apx):
 
     Returns the ``(y, w, v) -> (y_hat, w_hat)`` StateSpace with internal
     dynamics ``x_hat' = A x_hat + L (v - apx(w - Gamma x_hat))`` and
-    rectified outputs ``y_hat = y - C x_hat`` and ``w_hat = w - Gamma x_hat``;
-    its state is the plant state stacked over the model state.
+    rectified outputs ``y_hat = y - C x_hat`` and ``w_hat = w - Gamma x_hat``:
+    the subsystem copy ``(y, w, v, v_apx) -> (y_hat, w_hat)`` closed with
+    ``v_apx = apx(w_hat)``.  Its state is the plant state stacked over the
+    model state.
     """
-    apx.check_dims(G)
-    A, B_u, L, Gamma, S, C = G.A, G.B, G.L, G.Gamma, G.S, G.C
-    Aa, Ba, Ca, Da = apx.sys.A, apx.sys.B, apx.sys.C, apx.sys.D
-    n, na = A.shape[0], Aa.shape[0]
+    L, Gamma, C = G.L, G.Gamma, G.C
     ny, nw, nv = C.shape[0], Gamma.shape[0], L.shape[1]
-
-    Ar = np.block(
-        [[A + L @ Da @ Gamma, -L @ Ca], [-Ba @ Gamma, Aa]]
-    ) if n + na else np.zeros((0, 0))
-    Br = np.block(
-        [
-            [np.zeros((n, ny)), -L @ Da, L],
-            [np.zeros((na, ny)), Ba, np.zeros((na, nv))],
-        ]
+    copy = StateSpace(
+        G.A,
+        np.hstack([np.zeros((L.shape[0], ny + nw)), L, -L]),
+        np.vstack([-C, -Gamma]),
+        np.eye(ny + nw, ny + nw + 2 * nv),
     )
-    Cr = np.block([[-C, np.zeros((ny, na))], [-Gamma, np.zeros((nw, na))]])
-    Dr = np.block(
-        [
-            [np.eye(ny), np.zeros((ny, nw)), np.zeros((ny, nv))],
-            [np.zeros((nw, ny)), np.eye(nw), np.zeros((nw, nv))],
-        ]
-    )
-    return StateSpace(Ar, Br, Cr, Dr)
+    v_apx = np.arange(ny + nw + nv, ny + nw + 2 * nv)
+    return close_loop(copy, apx.sys, v_apx, np.arange(ny, ny + nw))
 
 
 def _design_loop(G, apx, mod):
@@ -306,39 +296,18 @@ def _design_loop(G, apx, mod):
     the subsystem in feedback with the approximate environment model and
     with ``u = mod(y, w)``.
     """
-    apx.check_dims(G)
-    A, B_u, L, W, Gamma, S, C = G.A, G.B, G.L, G.W, G.Gamma, G.S, G.C
-    Aa, Ba, Ca, Da = apx.sys.A, apx.sys.B, apx.sys.C, apx.sys.D
-    n, na, nm = A.shape[0], Aa.shape[0], mod.n_states
-    nz, nw, ny = S.shape[0], Gamma.shape[0], C.shape[0]
-    nd, nu = W.shape[1], B_u.shape[1]
+    nz, ny, nw = G.S.shape[0], G.C.shape[0], G.Gamma.shape[0]
+    nd, nu = G.W.shape[1], G.B.shape[1]
     if mod.n_inputs != ny + nw or mod.n_outputs != nu:
         raise ValueError(
             f"module maps {mod.n_inputs} -> {mod.n_outputs}, design plant "
             f"needs (y, w) -> u = {ny + nw} -> {nu}"
         )
-
-    Dmy, Dmw = mod.D[:, :ny], mod.D[:, ny:]
-    Bmy, Bmw = mod.B[:, :ny], mod.B[:, ny:]
-    A_up = np.block(
-        [
-            [
-                A + L @ Da @ Gamma + B_u @ (Dmy @ C + Dmw @ Gamma),
-                L @ Ca,
-                B_u @ mod.C,
-            ],
-            [Ba @ Gamma, Aa, np.zeros((na, nm))],
-            [Bmy @ C + Bmw @ Gamma, np.zeros((nm, na)), mod.A],
-        ]
-    ) if n + na + nm else np.zeros((0, 0))
-    B_up = np.vstack([W, np.zeros((na + nm, nd))])
-    C_up = np.block(
-        [
-            [S, np.zeros((nz, na + nm))],
-            [Gamma, np.zeros((nw, na + nm))],
-        ]
+    closed = close_loop(
+        _plant_with_env(G, apx), mod,
+        np.arange(nd, nd + nu), np.arange(nz, nz + ny + nw),
     )
-    return StateSpace(A_up, B_up, C_up)
+    return select(closed, np.r_[:nz, nz + ny:nz + ny + nw])
 
 
 def compose_retrofit(G, apx, module):

@@ -126,6 +126,18 @@ class TestInterconnections:
         ref = G[:, [0, 2]] + G[:, 1:2] @ Kw @ y2
         assert np.abs(freq_response(cl, w) - ref).max() < 1e-9
 
+    def test_close_loop_without_loop_outputs(self):
+        # A controller with no inputs only drives the looped plant input
+        # from its own (zero) initial state: the other inputs see the plant.
+        rng = np.random.default_rng(6)
+        sys = _rand_sys(rng, 3, 2, 2)
+        ctrl = _rand_sys(rng, 2, 0, 1, shift=3.0)
+        cl = close_loop(sys, ctrl, in_idx=[0], out_idx=[])
+        assert (cl.n_states, cl.n_inputs, cl.n_outputs) == (5, 1, 2)
+        w = 0.7
+        ref = freq_response(sys, w)[:, 1:]
+        assert np.abs(freq_response(cl, w) - ref).max() < 1e-12
+
     def test_algebraic_loop_rejected(self):
         P = StateSpace.from_gain(np.eye(1))
         K = StateSpace.from_gain(np.eye(1))

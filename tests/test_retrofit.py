@@ -43,6 +43,7 @@ from retrofit_control.verification import (
     random_admissible_env,
     random_apx,
     random_partitioned_plant,
+    random_statespace,
 )
 
 
@@ -332,6 +333,45 @@ class TestDesignLoop:
         bad = StateSpace.zero(2, 5)
         with pytest.raises(ValueError, match="module maps 5 -> 2"):
             compose_retrofit(G, EnvironmentModel.zero(nv, nv), bad)
+
+
+class TestWrongSize:
+    """A wrongly sized environment or model is refused with a ValueError."""
+
+    @staticmethod
+    def _bad_models():
+        rng = np.random.default_rng(19)
+        return [
+            EnvironmentModel.zero(3, 2),
+            EnvironmentModel.zero(2, 3),
+            EnvironmentModel(random_statespace(rng, 2, 2, 3)),
+        ]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda G, good, bad, mod, K: assemble_preexisting(G, bad),
+            lambda G, good, bad, mod, K: extended_rectifier(G, bad),
+            lambda G, good, bad, mod, K: compose_retrofit(G, bad, mod),
+            lambda G, good, bad, mod, K: closed_loop_direct(G, bad, K),
+            lambda G, good, bad, mod, K: cascade_realization(G, bad, good, mod),
+            lambda G, good, bad, mod, K: cascade_realization(G, good, bad, mod),
+        ],
+        ids=[
+            "assemble_preexisting", "extended_rectifier", "compose_retrofit",
+            "closed_loop_direct", "cascade_realization-env",
+            "cascade_realization-apx",
+        ],
+    )
+    def test_refused(self, call):
+        G, _ = _plant(seed=19)
+        nu, ny, nw, nv = G.B.shape[1], G.C.shape[0], G.Gamma.shape[0], G.L.shape[1]
+        good = EnvironmentModel.zero(nv, nw)
+        mod = StateSpace.zero(nu, ny + nw)
+        K = StateSpace.zero(nu, ny + nw + nv)
+        for bad in self._bad_models():
+            with pytest.raises(ValueError, match="maps"):
+                call(G, good, bad, mod, K)
 
 
 class TestCascade:

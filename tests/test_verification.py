@@ -8,14 +8,21 @@ report without its gap term, and the module implemented directly, without
 the rectifier, in place of the retrofit controller.  The matrix-identity
 check is also run on transfer matrices that make every loop singular,
 where it must skip each case rather than raise, and then fail, since it
-evaluated nothing.
+evaluated nothing.  The bound-sandwich check is also run against reports
+of an unstable loop, where it must stop at the first case and count only
+that one.
 """
 
 import dataclasses
 
 import numpy as np
 
-from retrofit_control import StateSpace, direct_controller, verification
+from retrofit_control import (
+    PerformanceReport,
+    StateSpace,
+    direct_controller,
+    verification,
+)
 from retrofit_control.verification import (
     check_bound_sandwich,
     check_cascade_equivalence,
@@ -103,6 +110,16 @@ class TestBoundSandwich:
         res = check_bound_sandwich(seed=0, n_cases=N_CASES)
         assert not res.passed
         assert res.worst > 1e3 * res.tol
+
+    def test_early_stop_counts_evaluated_cases(self, monkeypatch):
+        monkeypatch.setattr(
+            verification, "performance_bounds",
+            lambda *args: PerformanceReport(np.nan, np.nan, np.nan, False, 0.0),
+        )
+        res = check_bound_sandwich(seed=0, n_cases=N_CASES)
+        assert not res.passed
+        assert res.cases == 1
+        assert "over 1 cases" in res.line()
 
 
 class TestRobustStability:
