@@ -11,7 +11,6 @@ import numpy as np
 from retrofit_control import (
     EnvironmentModel,
     balanced_truncate,
-    build_generalized_plant,
     build_network,
     closed_loop_direct,
     compose_retrofit,
@@ -39,9 +38,7 @@ def main():
           f"truncation bound {red.error_bound:.3f}")
 
     # Module design on the subsystem closed with the surrogate.
-    design_plant = new_subsystem(G, apx)
-    gp = build_generalized_plant(design_plant, alpha=0.2)
-    module, level = hinf_synthesize(gp)
+    module, level = hinf_synthesize(new_subsystem(G, apx), alpha=0.2)
     print(f"module controller: {module.n_states} states, "
           f"design level {level:.4f}")
 

@@ -12,7 +12,6 @@ from retrofit_control import (
     EnvironmentModel,
     add,
     balanced_truncate,
-    build_generalized_plant,
     build_network,
     hinf_norm,
     hinf_synthesize,
@@ -46,9 +45,7 @@ def main():
             else:
                 apx = EnvironmentModel(balanced_truncate(env_min.sys, r).reduced)
             errs.append(modeling_error(env_min, apx))
-            module, _ = hinf_synthesize(
-                build_generalized_plant(new_subsystem(G, apx), alpha=0.2)
-            )
+            module, _ = hinf_synthesize(new_subsystem(G, apx), alpha=0.2)
             gaps.append(performance_bounds(G, env_min, apx, module).gamma_check)
         print(f"{k_c:4.1f}"
               + "".join(f"  {e:9.3f}" for e in errs)

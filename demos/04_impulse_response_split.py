@@ -10,7 +10,6 @@ import numpy as np
 from retrofit_control import (
     EnvironmentModel,
     balanced_truncate,
-    build_generalized_plant,
     build_network,
     cascade_realization,
     hinf_synthesize,
@@ -27,9 +26,7 @@ def main():
     G, env = partition(build_network(spec), spec, assign)
     env_min = EnvironmentModel(minreal(env.sys))
     apx = EnvironmentModel(balanced_truncate(env_min.sys, 2).reduced)
-    module, _ = hinf_synthesize(
-        build_generalized_plant(new_subsystem(G, apx), alpha=0.2)
-    )
+    module, _ = hinf_synthesize(new_subsystem(G, apx), alpha=0.2)
 
     casc = cascade_realization(G, env_min, apx, module)
     dt, t_final = 0.02, 30.0

@@ -56,12 +56,6 @@ from .retrofit import (
     new_subsystem,
     performance_bounds,
 )
-from .synthesis import (
-    GeneralizedPlant,
-    SynthesisError,
-    build_generalized_plant,
-    hinf_synthesize,
-    lqg_module,
-)
+from .synthesis import SynthesisError, hinf_synthesize, lqg_module
 
 __version__ = "0.1.0"

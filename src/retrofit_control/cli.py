@@ -55,7 +55,6 @@ from .retrofit import (
 from .synthesis import (
     DEFAULT_NOISE_SCALE,
     SynthesisError,
-    build_generalized_plant,
     hinf_synthesize,
 )
 from .verification import run_all_checks
@@ -251,9 +250,9 @@ def _deflated_stable(T_zd):
 
 
 def _design_module(G, apx, alpha, cfg):
-    gplus = new_subsystem(G, apx)
-    gp = build_generalized_plant(gplus, alpha, eps=cfg["eps"])
-    return hinf_synthesize(gp, gamma_tol=cfg["gamma_tol"])
+    return hinf_synthesize(
+        new_subsystem(G, apx), alpha, eps=cfg["eps"], gamma_tol=cfg["gamma_tol"]
+    )
 
 
 def _sweep_point(cfg, G, env_min, apx, merr, k_c, napx, alpha):
@@ -265,7 +264,6 @@ def _sweep_point(cfg, G, env_min, apx, merr, k_c, napx, alpha):
             [k_c, napx, alpha, merr, np.nan, np.nan, np.nan, False, False, np.nan],
             f"synthesis failed at kc={k_c} napx={napx} alpha={alpha}: {exc}",
         )
-    compose_retrofit(G, apx, module)
     report = performance_bounds(G, env_min, apx, module, norm_tol=cfg["norm_tol"])
     direct = closed_loop_direct(G, env_min, direct_controller(G, module))
     row = [

@@ -471,11 +471,11 @@ def performance_bounds(G, env, apx, module, norm_tol=1e-8):
     norm) and the stability verdict; when the deflated closed loop is not
     stable the norms are reported as ``nan``.  Each norm is the midpoint
     of a bracket of relative width ``norm_tol`` whose lower end is an
-    attained gain.
+    attained gain.  The controller is :func:`compose_retrofit`'s, so a
+    module that it refuses is refused here with the same ``ValueError``.
     """
+    residual = invariance_residual(G, compose_retrofit(G, apx, module))
     casc = cascade_realization(G, env, apx, module)
-    K = series(extended_rectifier(G, apx), module)
-    residual = invariance_residual(G, K)
 
     nz = G.S.shape[0]
     abscissa, tz = _deflate(select(casc, np.arange(nz)))

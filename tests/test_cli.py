@@ -250,6 +250,19 @@ class TestSweep:
                 outs["custom"] / name
             ).read_bytes()
 
+    def test_tiny_eps_gives_flagged_row(self, tmp_path, capsys):
+        # Normalizing by a subnormal noise factor overflows in synthesis;
+        # the row is flagged, not a traceback.
+        cfg = _write_cfg(tmp_path / "cfg.json", kc_grid=[2], eps=1e-160)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        (row,) = _read_rows(tmp_path / "o" / "performance.csv")
+        for key in ("gamma_actual", "gamma_hat", "gamma_check"):
+            assert np.isnan(float(row[key]))
+        assert row["stable_retrofit"] == "false"
+        meta = json.loads((tmp_path / "o" / "sweep_metadata.json").read_text())
+        assert len(meta["warnings"]) == 1
+        assert "synthesis failed" in capsys.readouterr().err
+
     def test_known_keys_load(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.json", seed=6, eps=1e-4, gamma_tol=1e-3,
                          norm_tol=1e-8, network="paper-benchmark")

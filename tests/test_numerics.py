@@ -16,7 +16,6 @@ from retrofit_control import (
     NumericsError,
     StateSpace,
     balanced_truncate,
-    build_generalized_plant,
     build_network,
     cascade_realization,
     deflate_hidden,
@@ -107,7 +106,7 @@ def _gamma_check_system(k_c, n_apx, alpha, seed):
     G, env = partition(build_network(spec), spec, assign)
     env = EnvironmentModel(minreal(env.sys))
     apx = EnvironmentModel(balanced_truncate(env.sys, n_apx).reduced)
-    module, _ = hinf_synthesize(build_generalized_plant(new_subsystem(G, apx), alpha))
+    module, _ = hinf_synthesize(new_subsystem(G, apx), alpha)
     casc = cascade_realization(G, env, apx, module)
     nz = G.S.shape[0]
     return minreal(deflate_hidden(select(casc, np.arange(2 * nz, 3 * nz))))

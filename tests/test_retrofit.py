@@ -52,6 +52,18 @@ def _plant(seed=0):
     return random_partitioned_plant(rng), rng
 
 
+def _destabilizing_module(G):
+    """A static ``(y, w) -> u`` gain that provably destabilizes the design loop.
+
+    The design loop is closed with a zero environment model.
+    """
+    for scale in (1.0, -1.0, 10.0, -10.0, 100.0, -100.0, 1e3, -1e3):
+        Ky = scale * np.ones((2, 2))
+        if spectral_abscissa(G.A + G.B @ (Ky @ G.C)) > 1e-6:
+            return StateSpace.from_gain(np.hstack([Ky, np.zeros((2, 2))]))
+    pytest.fail("no destabilizing static gain found for this plant")
+
+
 def _apx_transfer(apx, w):
     s = apx.sys
     if s.n_states == 0:
@@ -292,16 +304,8 @@ class TestRetrofitComposition:
         G, _ = _plant(seed=11)
         nv = G.L.shape[1]
         apx = EnvironmentModel.zero(nv, nv)
-        # Find a static gain that provably destabilizes the design loop.
-        for scale in (1.0, -1.0, 10.0, -10.0, 100.0, -100.0, 1e3, -1e3):
-            Ky = scale * np.ones((2, 2))
-            A_cl = G.A + G.B @ (Ky @ G.C)
-            if spectral_abscissa(A_cl) > 1e-6:
-                bad = StateSpace.from_gain(np.hstack([Ky, np.zeros((2, 2))]))
-                with pytest.raises(Exception):
-                    compose_retrofit(G, apx, bad)
-                return
-        pytest.fail("no destabilizing static gain found for this plant")
+        with pytest.raises(Exception):
+            compose_retrofit(G, apx, _destabilizing_module(G))
 
 
 class TestDesignLoop:
@@ -405,6 +409,16 @@ class TestCascade:
 
 
 class TestPerformanceBounds:
+    def test_destabilizing_module_refused(self):
+        # The bounds evaluate compose_retrofit's controller, so they refuse
+        # the modules that compose_retrofit refuses.
+        G, rng = _plant(seed=11)
+        env = random_admissible_env(rng, G)
+        nv = G.L.shape[1]
+        apx = EnvironmentModel.zero(nv, nv)
+        with pytest.raises(ValueError, match="does not stabilize"):
+            performance_bounds(G, env, apx, _destabilizing_module(G))
+
     def test_sandwich_random(self):
         rng = np.random.default_rng(14)
         done = 0

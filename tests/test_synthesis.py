@@ -5,7 +5,7 @@ grid search on a scalar design plant, a zero-coupling plant where the
 optimal level vanishes, and determinism/stability contracts.
 """
 
-import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from retrofit_control import (
     PartitionedPlant,
     StateSpace,
     SynthesisError,
-    build_generalized_plant,
     hinf_norm,
     hinf_synthesize,
     lqg_module,
@@ -40,35 +39,23 @@ def _static_closed_norm(plant, alpha, ky, kw):
     return hinf_norm(StateSpace(A_cl, plant.W, C_perf), tol=1e-8)
 
 
-class TestGeneralizedPlant:
-    def test_shapes(self):
-        plant = _scalar_plant()
-        gp = build_generalized_plant(plant, alpha=0.5, eps=1e-4)
-        assert gp.B1.shape == (1, 1 + 2)
-        assert gp.C1.shape == (2, 1)
-        assert gp.D12.shape == (2, 1)
-        assert gp.D21.shape == (2, 3)
-        assert gp.n_meas == 2 and gp.n_ctrl == 1
-
+class TestHinfSynthesize:
     def test_zero_noise_rejected(self):
         # A noise-free measurement feedthrough is rank deficient, so the
-        # plant could never be synthesized; it is refused when built.
+        # plant could never be synthesized; it is refused up front.
         with pytest.raises(ValueError, match="eps"):
-            build_generalized_plant(_scalar_plant(), alpha=0.5, eps=0.0)
+            hinf_synthesize(_scalar_plant(), alpha=0.5, eps=0.0)
 
     def test_invalid_weights_rejected(self):
-        with pytest.raises(ValueError):
-            build_generalized_plant(_scalar_plant(), alpha=0.0)
-        with pytest.raises(ValueError):
-            build_generalized_plant(_scalar_plant(), alpha=0.5, eps=-1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            hinf_synthesize(_scalar_plant(), alpha=0.0)
+        with pytest.raises(ValueError, match="eps"):
+            hinf_synthesize(_scalar_plant(), alpha=0.5, eps=-1.0)
 
-
-class TestHinfSynthesize:
     def test_beats_static_gain_grid(self):
         alpha = 0.5
         plant = _scalar_plant()
-        gp = build_generalized_plant(plant, alpha=alpha)
-        _, gamma = hinf_synthesize(gp, gamma_tol=1e-4)
+        _, gamma = hinf_synthesize(plant, alpha, gamma_tol=1e-4)
         # Oracle: fine grid over static gains; dynamic output feedback can
         # only match or beat the best static gain (up to the noise channel).
         grid = np.linspace(-20.0, 0.0, 2001)
@@ -81,8 +68,7 @@ class TestHinfSynthesize:
             A=[[-1.0]], B=[[1.0]], L=[[0.0]], W=[[1.0]], Gamma=[[1.0]],
             S=[[0.0]], C=[[1.0]],
         )
-        gp = build_generalized_plant(plant, alpha=0.1)
-        _, gamma = hinf_synthesize(gp)
+        _, gamma = hinf_synthesize(plant, alpha=0.1)
         assert gamma <= 1e-2
 
     def test_closed_loop_validated(self):
@@ -98,8 +84,7 @@ class TestHinfSynthesize:
             S=rng.standard_normal((2, n)),
             C=rng.standard_normal((2, n)),
         )
-        gp = build_generalized_plant(plant, alpha=0.3)
-        K, gamma = hinf_synthesize(gp)
+        K, gamma = hinf_synthesize(plant, alpha=0.3)
         # Verify stability of the measurement loop independently.
         Kmap = K.C, K.D
         meas = np.vstack([plant.C, plant.Gamma])
@@ -114,19 +99,34 @@ class TestHinfSynthesize:
 
     def test_deterministic(self):
         plant = _scalar_plant()
-        gp = build_generalized_plant(plant, alpha=0.5)
-        m1, g1 = hinf_synthesize(gp)
-        m2, g2 = hinf_synthesize(gp)
+        m1, g1 = hinf_synthesize(plant, alpha=0.5)
+        m2, g2 = hinf_synthesize(plant, alpha=0.5)
         assert g1 == g2
         assert np.array_equal(m1.A, m2.A)
         assert np.array_equal(m1.B, m2.B)
 
     def test_rank_deficient_noise_feedthrough_refused(self):
-        # Only a hand-built plant can reach synthesis without noise columns.
-        gp = build_generalized_plant(_scalar_plant(), alpha=0.5)
-        gp = dataclasses.replace(gp, B1=gp.B1[:, :1], D21=gp.D21[:, :1])
-        with pytest.raises(SynthesisError, match="rank deficient"):
-            hinf_synthesize(gp)
+        # eps**2 underflows to zero, so the noise feedthrough loses its rank.
+        with pytest.raises(SynthesisError, match="measurement-noise .* rank deficient"):
+            hinf_synthesize(_scalar_plant(), alpha=0.5, eps=1e-170)
+
+    @pytest.mark.parametrize(
+        "alpha, eps, match",
+        [
+            # alpha**2 underflows to zero: the control weight has no rank.
+            pytest.param(1e-170, 1e-4, "control-weight .* rank deficient", id="alpha-1e-170"),
+            # alpha**2 and eps**2 are subnormal: normalizing by their
+            # Cholesky factors overflows the Gram products.
+            pytest.param(1e-160, 1e-4, "not finite", id="alpha-1e-160"),
+            pytest.param(0.5, 1e-160, "not finite", id="eps-1e-160"),
+        ],
+    )
+    def test_tiny_weights_refused(self, alpha, eps, match):
+        # Refused without printing an overflow RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SynthesisError, match=match):
+                hinf_synthesize(_scalar_plant(), alpha, eps=eps)
 
     def test_marginal_mode_hidden_from_performance(self):
         # Rigid-body-style zero eigenvalue invisible to z is handled by the
@@ -142,8 +142,7 @@ class TestHinfSynthesize:
             S=[[0.0, 1.0]],
             C=[[1.0, 0.0]],
         )
-        gp = build_generalized_plant(plant, alpha=0.2)
-        module, gamma = hinf_synthesize(gp)
+        module, gamma = hinf_synthesize(plant, alpha=0.2)
         assert np.isfinite(gamma) and gamma > 0.0
 
 
