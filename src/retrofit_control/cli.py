@@ -343,7 +343,6 @@ def cmd_sweep(cfg, out_dir):
 
 
 def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
     G, env_min = _environment_setup(cfg, k_c)
     apx = _apx_for(env_min, napx)
     nz, ny, nw = G.S.shape[0], G.C.shape[0], G.Gamma.shape[0]
@@ -354,7 +353,12 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
 
     meta = {"mode": mode, "k_c": k_c, "n_apx": napx, "alpha": alpha, "dt": dt}
     if mode in ("retrofit", "direct"):
-        module, meta["achieved_gamma"] = _design_module(G, apx, alpha, cfg)
+        try:
+            module, meta["achieved_gamma"] = _design_module(G, apx, alpha, cfg)
+        except (SynthesisError, NumericsError) as exc:
+            print(f"synthesis failed at kc={k_c} napx={napx} alpha={alpha}: {exc}",
+                  file=sys.stderr)
+            return 1
     elif mode == "none":
         module = StateSpace.zero(G.B.shape[1], ny + nw)
     else:
@@ -375,6 +379,7 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
     header = ["t"] + [f"{name}_{i + 1}" for name in names for i in range(nz)]
     rows = np.column_stack([t, simulate(sys_out, d, dt)])
 
+    os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "timeseries.csv"), header, rows)
     with open(os.path.join(out_dir, "simulate_metadata.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

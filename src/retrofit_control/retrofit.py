@@ -164,20 +164,24 @@ _HIDE_TOL = 1e-7
 def _split_marginal(sys):
     """Decouple the modes with real part >= STABILITY_TOL from the stable rest.
 
-    Returns ``None`` when no such mode exists, otherwise the strictly
-    stable remainder system (an ordered Schur form and a Sylvester solve
-    make the split an exact similarity) and the real parts of the
-    split-off modes that are both controllable and observable, relative
-    to the input/output coupling scale, above ``_HIDE_TOL``.
+    Returns the spectral abscissa of the strictly stable remainder, that
+    remainder as a system, and the real parts of the split-off modes that
+    are both controllable and observable, relative to the input/output
+    coupling scale, above ``_HIDE_TOL``.  An ordered real Schur form and a
+    Sylvester solve make the split an exact similarity; the abscissa is the
+    largest diagonal entry of the remainder's block of that form, since
+    LAPACK standardizes a 2 x 2 block to hold the real part on its
+    diagonal.  With no such mode the remainder is ``sys`` itself.
     """
     n = sys.n_states
     if n == 0:
-        return None
+        return -np.inf, sys, []
     T, Z, k = scipy.linalg.schur(
         sys.A, output="real", sort=lambda re, im: re >= STABILITY_TOL
     )
+    abscissa = float(np.max(np.diag(T)[k:])) if k < n else -np.inf
     if k == 0:
-        return None
+        return abscissa, sys, []
     Bt = Z.T @ sys.B
     Ct = sys.C @ Z
     if k == n:
@@ -205,17 +209,13 @@ def _split_marginal(sys):
         ctr = np.linalg.norm(w @ B1) / scale_b
         if obs > _HIDE_TOL and ctr > _HIDE_TOL:
             visible.append(float(evals[i].real))
-    return reduced, visible
+    return abscissa, reduced, visible
 
 
 def _deflate(sys):
     """Deflated abscissa and hidden-mode-free system from one marginal split."""
-    split = _split_marginal(sys)
-    if split is None:
-        return spectral_abscissa(sys.A), sys
-    reduced, visible = split
-    abscissa = max([spectral_abscissa(reduced.A)] + visible)
-    return abscissa, (sys if visible else reduced)
+    abscissa, reduced, visible = _split_marginal(sys)
+    return max([abscissa] + visible), (sys if visible else reduced)
 
 
 def deflated_abscissa(sys):

@@ -31,11 +31,16 @@ def _level_free_terms(B1, B2, C1, C2, D12, D21):
     The control and noise feedthroughs are normalized to identity through
     their Cholesky factors ``T12`` and ``T21``.  Returns ``(B2n, C2n, T12,
     T21)`` followed by the Gram products ``B1 B1'``, ``C1' C1``,
-    ``B2n B2n'`` and ``C2n' C2n``; a feedthrough that is rank deficient, or
-    so small that a product overflows, is refused.
+    ``B2n B2n'`` and ``C2n' C2n``.  A feedthrough so large that its own
+    product overflows is refused as not finite, one that is rank deficient
+    as such, and one so small that a normalized product overflows as not
+    finite.
     """
-    R12, R21 = D12.T @ D12, D21 @ D21.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        R12, R21 = D12.T @ D12, D21 @ D21.T
     for R, name in ((R12, "control-weight"), (R21, "measurement-noise")):
+        if not np.isfinite(R).all():
+            raise SynthesisError(f"{name} feedthrough product is not finite")
         if np.linalg.cond(R) > 1e14:
             raise SynthesisError(f"{name} feedthrough is rank deficient")
     T12, T21 = np.linalg.cholesky(R12), np.linalg.cholesky(R21)

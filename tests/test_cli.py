@@ -336,6 +336,22 @@ class TestSimulate:
         assert np.isfinite(gamma)
         assert gamma == _metadata(simulated["retrofit"])["achieved_gamma"]
 
+    @pytest.mark.parametrize("mode", ["retrofit", "direct"])
+    def test_synthesis_failure_reported(self, tmp_path, capsys, mode):
+        # eps 1e-160 makes the normalized Gram products overflow, so
+        # synthesis fails; simulate says so like a sweep's flagged row and
+        # writes nothing.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": 1, "eps": 1e-160}))
+        out = tmp_path / "sim"
+        code = main(["simulate", "--config", str(cfg), "--kc", "2", "--napx", "0",
+                     "--alpha", "0.2", "--mode", mode, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "synthesis failed at kc=2.0 napx=0 alpha=0.2: " in err
+        assert "not finite" in err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_passes_and_prints_lines(self, tmp_path):

@@ -128,6 +128,23 @@ class TestHinfSynthesize:
             with pytest.raises(SynthesisError, match=match):
                 hinf_synthesize(_scalar_plant(), alpha, eps=eps)
 
+    @pytest.mark.parametrize(
+        "alpha, eps, match",
+        [
+            # alpha**2 or eps**2 overflows: the feedthrough product itself
+            # is infinite, not rank deficient.
+            pytest.param(1e160, 1e-4, "control-weight .* not finite", id="alpha-1e160"),
+            pytest.param(1e200, 1e-4, "control-weight .* not finite", id="alpha-1e200"),
+            pytest.param(0.5, 1e200, "measurement-noise .* not finite", id="eps-1e200"),
+        ],
+    )
+    def test_huge_weights_refused(self, alpha, eps, match):
+        # Refused without printing an overflow RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SynthesisError, match=match):
+                hinf_synthesize(_scalar_plant(), alpha, eps=eps)
+
     def test_marginal_mode_hidden_from_performance(self):
         # Rigid-body-style zero eigenvalue invisible to z is handled by the
         # internal decay-rate shift; synthesis must still succeed and the
