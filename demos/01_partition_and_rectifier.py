@@ -8,7 +8,7 @@ output is provably insensitive to whatever the environment feeds back.
 import numpy as np
 
 from retrofit_control import (
-    EnvironmentModel,
+    StateSpace,
     build_network,
     check_admissible,
     extended_rectifier,
@@ -26,15 +26,16 @@ def main():
           f"({spec.node_count} nodes, angle+rate each)")
 
     G, env = partition(full, spec, assign)
+    env = env.sys
     print(f"subsystem: {G.A.shape[0]} states, u={G.B.shape[1]} d={G.W.shape[1]} "
           f"y={G.C.shape[0]} z={G.S.shape[0]}, boundary channels v=w={G.L.shape[1]}")
-    print(f"environment: {env.sys.n_states} states, "
-          f"isolated abscissa {spectral_abscissa(env.sys.A):.4f}")
+    print(f"environment: {env.n_states} states, "
+          f"isolated abscissa {spectral_abscissa(env.A):.4f}")
     print(f"true environment admissible: {check_admissible(G, env)}")
 
     # A rectifier needs only some surrogate of the environment; here: none.
     nv = G.L.shape[1]
-    apx = EnvironmentModel.zero(nv, nv)
+    apx = StateSpace.zero(nv, nv)
     rect = extended_rectifier(G, apx)
     print(f"rectifier: {rect.n_states} states, "
           f"maps (y, w, v) -> rectified (y, w)")

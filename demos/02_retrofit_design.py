@@ -9,7 +9,6 @@ of the same module controller.
 import numpy as np
 
 from retrofit_control import (
-    EnvironmentModel,
     balanced_truncate,
     build_network,
     closed_loop_direct,
@@ -29,12 +28,12 @@ def main():
     k_c = 10.0
     spec, assign = paper_benchmark(k_c)
     G, env = partition(build_network(spec), spec, assign)
-    env_min = EnvironmentModel(minreal(env.sys))
+    env_min = minreal(env.sys)
 
     # Order-8 surrogate of the unknown environment.
-    red = balanced_truncate(env_min.sys, 8)
-    apx = EnvironmentModel(red.reduced)
-    print(f"environment: {env_min.sys.n_states} states; surrogate: 8 states, "
+    red = balanced_truncate(env_min, 8)
+    apx = red.reduced
+    print(f"environment: {env_min.n_states} states; surrogate: 8 states, "
           f"truncation bound {red.error_bound:.3f}")
 
     # Module design on the subsystem closed with the surrogate.

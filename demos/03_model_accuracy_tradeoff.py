@@ -9,7 +9,7 @@ the gap between assumed and achieved attenuation.
 import numpy as np
 
 from retrofit_control import (
-    EnvironmentModel,
+    StateSpace,
     add,
     balanced_truncate,
     build_network,
@@ -25,7 +25,7 @@ from retrofit_control import (
 
 
 def modeling_error(env_min, apx):
-    return hinf_norm(minreal(add(env_min.sys, negate(apx.sys))))
+    return hinf_norm(minreal(add(env_min, negate(apx))))
 
 
 def main():
@@ -35,15 +35,13 @@ def main():
     for k_c in (2.0, 6.0, 10.0):
         spec, assign = paper_benchmark(k_c)
         G, env = partition(build_network(spec), spec, assign)
-        env_min = EnvironmentModel(minreal(env.sys))
+        env_min = minreal(env.sys)
         errs, gaps = [], []
         for r in orders:
             if r == 0:
-                apx = EnvironmentModel.zero(
-                    env_min.sys.n_outputs, env_min.sys.n_inputs
-                )
+                apx = StateSpace.zero(env_min.n_outputs, env_min.n_inputs)
             else:
-                apx = EnvironmentModel(balanced_truncate(env_min.sys, r).reduced)
+                apx = balanced_truncate(env_min, r).reduced
             errs.append(modeling_error(env_min, apx))
             module, _ = hinf_synthesize(new_subsystem(G, apx), alpha=0.2)
             gaps.append(performance_bounds(G, env_min, apx, module).gamma_check)

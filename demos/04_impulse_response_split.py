@@ -8,7 +8,6 @@ induced downstream component: z(t) = z_hat(t) + z_check(t).
 import numpy as np
 
 from retrofit_control import (
-    EnvironmentModel,
     balanced_truncate,
     build_network,
     cascade_realization,
@@ -24,8 +23,8 @@ from retrofit_control import (
 def main():
     spec, assign = paper_benchmark(k_c=8.0)
     G, env = partition(build_network(spec), spec, assign)
-    env_min = EnvironmentModel(minreal(env.sys))
-    apx = EnvironmentModel(balanced_truncate(env_min.sys, 2).reduced)
+    env_min = minreal(env.sys)
+    apx = balanced_truncate(env_min, 2).reduced
     module, _ = hinf_synthesize(new_subsystem(G, apx), alpha=0.2)
 
     casc = cascade_realization(G, env_min, apx, module)

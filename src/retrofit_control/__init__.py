@@ -38,7 +38,6 @@ from .oscnet import (
 )
 from .reduction import BalancedReduction, balanced_truncate, gramians
 from .retrofit import (
-    EnvironmentModel,
     PartitionedPlant,
     PerformanceReport,
     STABILITY_TOL,

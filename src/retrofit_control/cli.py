@@ -42,7 +42,6 @@ from .oscnet import (
 )
 from .reduction import balanced_truncate
 from .retrofit import (
-    EnvironmentModel,
     STABILITY_TOL,
     cascade_realization,
     closed_loop_direct,
@@ -82,7 +81,9 @@ def _reject_unknown(keys, known, where):
 
 
 def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite int or float; JSON's ``Infinity`` and ``NaN`` are not."""
+    ok = isinstance(x, (int, float)) and not isinstance(x, bool)
+    return ok and abs(x) <= sys.float_info.max
 
 
 def _is_int(x):
@@ -95,6 +96,14 @@ def _is_list(x, item):
 
 def _is_edge(e):
     return _is_list(e, _is_number) and len(e) == 3 and _is_list(e[:2], _is_int)
+
+
+# Grid key -> (check of one entry, its form), also applied to simulate's flags.
+_GRID_RULES = {
+    "kc_grid": (lambda x: x >= 0, "a number >= 0"),
+    "napx_grid": (lambda x: _is_int(x) and x >= 0, "an integer >= 0"),
+    "alpha_grid": (lambda x: x > 0, "a number > 0"),
+}
 
 
 # Key -> (check, expected form) of a custom ``network`` object (``k_c``
@@ -141,13 +150,14 @@ def load_config(path):
 
     The document must be an object.  Unknown keys, at the top level or
     under ``simulate``, are rejected, and so are grids that are not
-    nonempty lists of numbers, a ``napx_grid`` entry that is not an integer
-    >= 0, a ``simulate`` that is not an object with ``dt`` and ``t_final``
-    numbers > 0, an ``eps``, ``gamma_tol`` or ``norm_tol`` that is not a
-    number > 0, a ``seed`` that is not an integer, and a ``network`` that
-    is neither ``"paper-benchmark"`` nor an object with exactly the keys a
-    custom network is read from, each of the right type; each error names
-    the key.
+    nonempty lists of finite numbers, a ``kc_grid`` entry below 0, a
+    ``napx_grid`` entry that is not an integer >= 0, an ``alpha_grid`` entry
+    not above 0, a ``simulate`` that is not an object with finite ``dt`` and
+    ``t_final`` > 0, an ``eps``, ``gamma_tol`` or ``norm_tol`` that is not a
+    finite number > 0, a ``seed`` that is not an integer, and a ``network``
+    that is neither ``"paper-benchmark"`` nor an object with exactly the
+    keys a custom network is read from, each of the right type (its numbers
+    finite); each error names the key.
     """
     cfg = dict(DEFAULT_CONFIG)
     cfg["simulate"] = dict(DEFAULT_CONFIG["simulate"])
@@ -165,12 +175,12 @@ def load_config(path):
         _reject_unknown(sim, DEFAULT_CONFIG["simulate"], "simulate")
         cfg.update(user)
         cfg["simulate"].update(sim)
-    for key in ("kc_grid", "napx_grid", "alpha_grid"):
+    for key, (ok, form) in _GRID_RULES.items():
         grid = cfg[key]
         if not (isinstance(grid, list) and grid and all(map(_is_number, grid))):
             raise ValueError(f"{key} must be a nonempty list of numbers, got {grid!r}")
-    if not all(_is_int(n) and n >= 0 for n in cfg["napx_grid"]):
-        raise ValueError(f"napx_grid must hold integers >= 0, got {cfg['napx_grid']!r}")
+        if not all(map(ok, grid)):
+            raise ValueError(f"each {key} entry must be {form}, got {grid!r}")
     positive = {f"simulate {k}": cfg["simulate"][k] for k in ("dt", "t_final")}
     positive.update((k, cfg[k]) for k in ("eps", "gamma_tol", "norm_tol"))
     for key, value in positive.items():
@@ -225,24 +235,16 @@ def _write_csv(path, header, rows):
 
 
 def _environment_setup(cfg, k_c):
-    """Partitioned plant, minimal true environment, per-dimension models."""
+    """Partitioned plant and minimal true environment."""
     spec, assign = _network_at(cfg, k_c)
     G, env = partition(build_network(spec), spec, assign)
-    env_min = EnvironmentModel(minreal(env.sys))
-    return G, env_min
+    return G, minreal(env.sys)
 
 
 def _apx_for(env_min, napx):
-    nv, nw = env_min.sys.n_outputs, env_min.sys.n_inputs
     if napx == 0:
-        return EnvironmentModel.zero(nv, nw)
-    r = min(napx, env_min.sys.n_states)
-    return EnvironmentModel(balanced_truncate(env_min.sys, r).reduced)
-
-
-def _modeling_error(env_min, apx):
-    diff = minreal(add(env_min.sys, negate(apx.sys)))
-    return hinf_norm(diff)
+        return StateSpace.zero(env_min.n_outputs, env_min.n_inputs)
+    return balanced_truncate(env_min, min(napx, env_min.n_states)).reduced
 
 
 def _deflated_stable(T_zd):
@@ -295,7 +297,7 @@ def cmd_sweep(cfg, out_dir):
         G, env_min = setups[k_c]
         for napx in napx_grid:
             apx = _apx_for(env_min, napx)
-            merr = _modeling_error(env_min, apx)
+            merr = hinf_norm(minreal(add(env_min, negate(apx))))
             error_rows.append([k_c, napx, merr])
             for alpha in alpha_grid:
                 tasks.append((G, env_min, apx, merr, k_c, napx, alpha))
@@ -441,7 +443,14 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "simulate":
+        for flag in ("kc", "napx", "alpha"):
+            ok, form = _GRID_RULES[f"{flag}_grid"]
+            value = getattr(args, flag)
+            if not (_is_number(value) and ok(value)):
+                parser.error(f"argument --{flag}: must be {form}, got {value!r}")
     cfg = load_config(args.config)
     if args.command == "sweep":
         return cmd_sweep(cfg, args.out)

@@ -228,16 +228,13 @@ def freq_response(sys, w):
 def simulate(sys, u, dt, x0=None):
     """Sampled output under zero-order-hold discretization.
 
-    ``u`` has one row per sample.  The discrete pair ``(A_d, B_d)`` is the
-    exact ZOH discretization computed from an augmented matrix exponential.
+    ``u`` is ``(samples, inputs)``; no other shape is taken.  ``(A_d, B_d)``
+    is the exact ZOH discretization, from an augmented matrix exponential.
     An impulse is represented as a first-sample pulse of height ``1/dt``.
     """
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[1] != sys.n_inputs:
-        if u.shape[0] == sys.n_inputs:
-            u = u.T
-        else:
-            raise ValueError("input sample shape does not match system inputs")
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[1] != sys.n_inputs:
+        raise ValueError(f"u has shape {u.shape}, expected (samples, {sys.n_inputs})")
     if dt <= 0:
         raise ValueError("dt must be positive")
     n, m = sys.n_states, sys.n_inputs

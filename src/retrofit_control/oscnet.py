@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lti import StateSpace
-from .retrofit import EnvironmentModel, PartitionedPlant
+from .retrofit import PartitionedPlant
 
 __all__ = [
     "NetworkSpec",
@@ -187,14 +187,22 @@ def _force_columns(nodes, all_nodes, M):
     return B
 
 
+@dataclass(frozen=True)
+class EnvironmentModel:
+    """:func:`partition`'s environment; kept only as the benchmark reads ``sys``."""
+
+    sys: StateSpace
+
+
 def partition(full, spec, assign):
     """Split the network into a partitioned subsystem and its environment.
 
     The subsystem keeps only its internal edges; the boundary force enters
     through ``v`` (one channel per boundary node) and the boundary angles
-    leave through ``w``.  The environment maps ``w`` to ``v`` and carries
-    the environment-internal Laplacian grounded by the boundary stiffness,
-    so closing ``v = env(w)`` reproduces ``full`` exactly.
+    leave through ``w``.  The environment, the StateSpace in the record's
+    ``sys``, maps ``w`` to ``v`` and carries the environment-internal
+    Laplacian grounded by the boundary stiffness, so closing ``v = env(w)``
+    reproduces ``full`` exactly.
     """
     assign.validate(spec)
     if full.n_states != 2 * spec.node_count:

@@ -1,10 +1,12 @@
 """Retrofit controller construction and analysis for partitioned plants.
 
 A plant is split into a subsystem of interest and an environment acting
-through interconnection channels ``(v, w)``.  This module builds the
-preexisting interconnection, embeds an approximate environment model into
-an extended output rectifier, and composes a verified module controller
-with it into a retrofit controller: a plain ``(y, w, v) -> u`` StateSpace.
+through interconnection channels ``(v, w)``; the environment and the
+designer's approximate model of it are ``w -> v`` StateSpaces.  This
+module builds the preexisting interconnection, embeds the approximate
+model into an extended output rectifier, and composes a verified module
+controller with it into a retrofit controller: a plain ``(y, w, v) -> u``
+StateSpace.
 The closed loop is evaluated directly and as a cascade: the upstream block
 (the module-controlled design loop, output ``z_hat``) drives the downstream
 block (the preexisting dynamics under the modeling error, output
@@ -22,7 +24,6 @@ from .numerics import hinf_norm, spectral_abscissa
 
 __all__ = [
     "PartitionedPlant",
-    "EnvironmentModel",
     "PerformanceReport",
     "assemble_preexisting",
     "check_admissible",
@@ -87,21 +88,6 @@ class PartitionedPlant:
 
 
 @dataclass(frozen=True)
-class EnvironmentModel:
-    """State-space model mapping the interconnection output ``w`` to ``v``."""
-
-    sys: StateSpace
-
-    @classmethod
-    def from_gain(cls, D):
-        return cls(StateSpace.from_gain(D))
-
-    @classmethod
-    def zero(cls, n_v, n_w):
-        return cls(StateSpace.zero(n_v, n_w))
-
-
-@dataclass(frozen=True)
 class PerformanceReport:
     """Achieved norm, bound components and stability verdict for one design."""
 
@@ -128,12 +114,12 @@ def _plant_with_env(G, env):
     environment.
     """
     A, B_u, L, W, Gamma, S, C = G.A, G.B, G.L, G.W, G.Gamma, G.S, G.C
-    Ae, Be, Ce, De = env.sys.A, env.sys.B, env.sys.C, env.sys.D
+    Ae, Be, Ce, De = env.A, env.B, env.C, env.D
     n, ne = A.shape[0], Ae.shape[0]
     nd, nu, nv, nw = W.shape[1], B_u.shape[1], L.shape[1], Gamma.shape[0]
-    if env.sys.n_inputs != nw or env.sys.n_outputs != nv:
+    if env.n_inputs != nw or env.n_outputs != nv:
         raise ValueError(
-            f"environment maps {env.sys.n_inputs} -> {env.sys.n_outputs}, "
+            f"environment maps {env.n_inputs} -> {env.n_outputs}, "
             f"plant expects {nw} -> {nv}"
         )
 
@@ -258,7 +244,7 @@ def new_subsystem(G, apx):
     all outputs remain exposed; the state is the plant state stacked over
     the model state.  With a zero model this is ``G`` itself.
     """
-    na = apx.sys.n_states
+    na = apx.n_states
     below, right = ((0, na), (0, 0)), ((0, 0), (0, na))
     return PartitionedPlant(
         _plant_with_env(G, apx).A,
@@ -286,7 +272,7 @@ def extended_rectifier(G, apx):
         np.eye(ny + nw, ny + nw + 2 * nv),
     )
     v_apx = np.arange(ny + nw + nv, ny + nw + 2 * nv)
-    return close_loop(copy, apx.sys, v_apx, np.arange(ny, ny + nw))
+    return close_loop(copy, apx, v_apx, np.arange(ny, ny + nw))
 
 
 def _design_loop(G, apx, mod):
@@ -333,8 +319,9 @@ def closed_loop_direct(G, env, K):
 
     ``K`` is any state-space controller mapping ``(y, w, v) -> u``, such
     as the result of :func:`compose_retrofit` or :func:`direct_controller`.
-    The returned system keeps the full closed-loop state; deflate with
-    :func:`lti.minreal` before stability or norm queries.
+    The returned system keeps the full closed-loop state, hidden modes
+    included: take a stability verdict with :func:`deflated_abscissa`, and
+    deflate with :func:`lti.minreal` before a norm query.
     """
     plantE = _plant_with_env(G, env)
     nz, nd, nu = G.S.shape[0], G.W.shape[1], G.B.shape[1]
@@ -381,8 +368,8 @@ def cascade_realization(G, env, apx, module):
     upstream = _design_loop(G, apx, module)
     plantE = _plant_with_env(G, env)
     L, Gamma = G.L, G.Gamma
-    Ca, Da, na = apx.sys.C, apx.sys.D, apx.sys.n_states
-    Be, De, ne = env.sys.B, env.sys.D, env.sys.n_states
+    Ca, Da, na = apx.C, apx.D, apx.n_states
+    Be, De, ne = env.B, env.D, env.n_states
     n, nm = G.A.shape[0], module.n_states
     nz, nd = G.S.shape[0], G.W.shape[1]
     n_up, n_dn = n + na + nm, n + ne

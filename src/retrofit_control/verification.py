@@ -16,7 +16,6 @@ from .lti import StateSpace, add, freq_response, minreal, negate, select
 from .numerics import NumericsError, hinf_norm, spectral_abscissa
 from .retrofit import (
     PartitionedPlant,
-    EnvironmentModel,
     STABILITY_TOL,
     assemble_preexisting,
     cascade_realization,
@@ -114,15 +113,13 @@ def random_admissible_env(rng, G):
     cand = random_statespace(rng, 2, nw, nv, stable=True)
     scale = 1.0
     for _ in range(60):
-        env = EnvironmentModel(
-            StateSpace(cand.A, cand.B, scale * cand.C, scale * cand.D)
-        )
+        env = StateSpace(cand.A, cand.B, scale * cand.C, scale * cand.D)
         # Admissibility must hold on the full interconnection state, not just
         # the deflated evaluation map, for a meaningful stress test.
         if spectral_abscissa(assemble_preexisting(G, env).A) < STABILITY_TOL:
             return env
         scale *= 0.5
-    return EnvironmentModel.zero(nv, nw)
+    return StateSpace.zero(nv, nw)
 
 
 def random_apx(rng, G):
@@ -130,11 +127,11 @@ def random_apx(rng, G):
     nv, nw = G.L.shape[1], G.Gamma.shape[0]
     kind = rng.integers(0, 4)
     if kind == 0:
-        return EnvironmentModel.from_gain(0.5 * rng.standard_normal((nv, nw)))
+        return StateSpace.from_gain(0.5 * rng.standard_normal((nv, nw)))
     if kind == 1:
-        return EnvironmentModel.zero(nv, nw)
+        return StateSpace.zero(nv, nw)
     stable = kind == 2
-    return EnvironmentModel(random_statespace(rng, 2, nw, nv, stable=stable))
+    return random_statespace(rng, 2, nw, nv, stable=stable)
 
 
 def _verified_module(rng, G, apx):

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from retrofit_control import (
-    EnvironmentModel,
     StateSpace,
     add,
     balanced_truncate,
@@ -170,14 +169,14 @@ def test_criterion_06_truncation_bound(sweep):
             apx = _apx_for(env_min, n)
             if n == 0:
                 bound = 2.0 * balanced_truncate(
-                    env_min.sys, 0
+                    env_min, 0
                 ).hankel_values.sum() + float(
-                    np.linalg.svd(env_min.sys.D, compute_uv=False)[0]
-                    if env_min.sys.D.size
+                    np.linalg.svd(env_min.D, compute_uv=False)[0]
+                    if env_min.D.size
                     else 0.0
                 )
             else:
-                red = balanced_truncate(env_min.sys, min(n, env_min.sys.n_states))
+                red = balanced_truncate(env_min, min(n, env_min.n_states))
                 bound = red.error_bound
             worst_excess = max(worst_excess, em[(kc, n)] - bound - 1e-8)
             if bound > 0.0:

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from retrofit_control import StateSpace, paper_benchmark, verification
+from retrofit_control import StateSpace, cli, paper_benchmark, verification
 from retrofit_control.cli import load_config, main
 
 CLI = [sys.executable, "-m", "retrofit_control.cli"]
@@ -167,6 +167,12 @@ class TestSweep:
             ("napx_grid", [0, None]),
             ("napx_grid", [2.7]),
             ("napx_grid", [0, -2]),
+            ("alpha_grid", [0]),
+            ("alpha_grid", [0.2, -0.01]),
+            ("alpha_grid", [float("inf")]),
+            ("kc_grid", [-1]),
+            ("kc_grid", [float("inf")]),
+            ("kc_grid", [2, float("nan")]),
         ],
     )
     def test_grid_value_types_rejected(self, tmp_path, key, value):
@@ -184,6 +190,8 @@ class TestSweep:
             ({"dt": 0}, "dt"),
             ({"dt": -0.02}, "dt"),
             ({"t_final": -1}, "t_final"),
+            ({"t_final": float("inf")}, "t_final"),
+            ({"dt": float("nan")}, "dt"),
         ],
     )
     def test_simulate_value_types_rejected(self, tmp_path, value, key):
@@ -223,6 +231,10 @@ class TestSweep:
                  "edges": [[0, 1]] + _network_object(2)["edges"][1:]},
                 "edges",
             ),
+            ("norm_tol", float("inf"), "norm_tol"),
+            ("eps", float("nan"), "eps"),
+            ("gamma_tol", float("inf"), "gamma_tol"),
+            ("network", {**_network_object(2), "damping": [float("nan")] * 36}, "damping"),
         ],
     )
     def test_scalar_values_rejected(self, tmp_path, key, value, match):
@@ -351,6 +363,34 @@ class TestSimulate:
         assert "synthesis failed at kc=2.0 napx=0 alpha=0.2: " in err
         assert "not finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--kc", "-1"),
+            ("--kc", "inf"),
+            ("--kc", "nan"),
+            ("--napx", "-1"),
+            ("--alpha", "0"),
+            ("--alpha", "-0.2"),
+            ("--alpha", "inf"),
+        ],
+    )
+    def test_bad_flag_refused(self, tmp_path, capsys, monkeypatch, flag, value):
+        # The flags follow the rules of the matching grid, and a bad value is
+        # refused, naming the flag, before any network is built.
+        def no_build(spec):
+            raise AssertionError("network built")
+
+        monkeypatch.setattr(cli, "build_network", no_build)
+        args = {"--kc": "10", "--napx": "8", "--alpha": "0.2", flag: value}
+        argv = ["simulate", "--config", str(_write_cfg(tmp_path / "cfg.json")),
+                "--out", str(tmp_path / "sim")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [item for pair in args.items() for item in pair])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
 
 
 class TestVerify:

@@ -336,6 +336,14 @@ class TestSimulate:
         y = simulate(sys, np.ones((4000, 1)), 5e-3)
         assert y[-1, 0] == pytest.approx(1.5, abs=1e-6)
 
+    @pytest.mark.parametrize("shape", [(2, 50), (50,), (50, 2, 1)])
+    def test_input_orientation_not_guessed(self, shape):
+        # u is (samples, inputs); a transposed or flat array is refused.
+        sys = StateSpace(-np.eye(2), np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match=r"\(samples, 2\)") as err:
+            simulate(sys, np.zeros(shape), 1e-2)
+        assert str(shape) in str(err.value)
+
 
 class TestMinreal:
     def test_removes_uncontrollable_block(self):

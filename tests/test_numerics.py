@@ -12,7 +12,6 @@ import pytest
 
 from retrofit_control import numerics
 from retrofit_control import (
-    EnvironmentModel,
     NumericsError,
     StateSpace,
     balanced_truncate,
@@ -117,8 +116,8 @@ def _gamma_check_system(k_c, n_apx, alpha, seed):
     """The d -> z_check system whose norm is a sweep row's ``gamma_check``."""
     spec, assign = paper_benchmark(k_c, seed=seed)
     G, env = partition(build_network(spec), spec, assign)
-    env = EnvironmentModel(minreal(env.sys))
-    apx = EnvironmentModel(balanced_truncate(env.sys, n_apx).reduced)
+    env = minreal(env.sys)
+    apx = balanced_truncate(env, n_apx).reduced
     module, _ = hinf_synthesize(new_subsystem(G, apx), alpha)
     casc = cascade_realization(G, env, apx, module)
     nz = G.S.shape[0]

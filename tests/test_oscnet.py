@@ -101,18 +101,20 @@ class TestPartition:
     def test_dimensions(self):
         spec, assign = paper_benchmark(3.0)
         G, env = partition(build_network(spec), spec, assign)
+        env = env.sys
         shapes = {k: getattr(G, k).shape for k in ("A", "B", "L", "W", "Gamma", "S", "C")}
         assert shapes == {
             "A": (12, 12), "B": (12, 3), "L": (12, 3), "W": (12, 3),
             "Gamma": (3, 12), "S": (6, 12), "C": (6, 12),
         }
-        assert env.sys.n_inputs == 3 and env.sys.n_outputs == 3
-        assert env.sys.n_states == 60
+        assert env.n_inputs == 3 and env.n_outputs == 3
+        assert env.n_states == 60
 
     def test_roundtrip_reassembly(self):
         spec, assign = paper_benchmark(4.0)
         full = build_network(spec)
         G, env = partition(full, spec, assign)
+        env = env.sys
         # Close v = env(w): the (d, u) -> (z, y) map must equal the full
         # network's corresponding selection.
         stacked = StateSpace(
@@ -121,7 +123,7 @@ class TestPartition:
         nv, nw = G.L.shape[1], G.Gamma.shape[0]
         closed = close_loop(
             stacked,
-            env.sys,
+            env,
             in_idx=np.arange(nv),
             out_idx=np.arange(nw),
         )
@@ -140,15 +142,15 @@ class TestPartition:
 
     def test_environment_is_stable_when_grounded(self):
         spec, assign = paper_benchmark(5.0)
-        _, env = partition(build_network(spec), spec, assign)
         # The k_c grounding at coupled nodes removes the environment's
         # rigid-body mode; the isolated environment is strictly stable.
+        _, env = partition(build_network(spec), spec, assign)
         assert spectral_abscissa(env.sys.A) < -1e-6
 
     def test_true_environment_is_admissible(self):
         spec, assign = paper_benchmark(5.0)
         G, env = partition(build_network(spec), spec, assign)
-        assert check_admissible(G, env)
+        assert check_admissible(G, env.sys)
 
     def test_boundary_mismatch_rejected(self):
         spec, assign = paper_benchmark(3.0)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from retrofit_control import (
-    EnvironmentModel,
     NumericsError,
     PartitionedPlant,
     StateSpace,
@@ -65,10 +64,10 @@ def _destabilizing_module(G):
 
 
 def _apx_transfer(apx, w):
-    s = apx.sys
-    if s.n_states == 0:
-        return s.D.astype(complex)
-    return s.C @ np.linalg.solve(1j * w * np.eye(s.n_states) - s.A, s.B) + s.D
+    if apx.n_states == 0:
+        return apx.D.astype(complex)
+    R = np.linalg.solve(1j * w * np.eye(apx.n_states) - apx.A, apx.B)
+    return apx.C @ R + apx.D
 
 
 def _rectifier_oracle(G, apx, w):
@@ -128,7 +127,7 @@ def _new_subsystem_by_close_loop(G, apx):
     stacked = StateSpace(
         G.A, np.hstack([G.L, G.L, G.W, G.B]), np.vstack([G.Gamma, G.S, G.C])
     )
-    cl = close_loop(stacked, apx.sys, np.arange(nv), np.arange(nw))
+    cl = close_loop(stacked, apx, np.arange(nv), np.arange(nw))
     return {
         "A": cl.A,
         "B": cl.B[:, nv + nd:],
@@ -155,11 +154,11 @@ class TestNewSubsystem:
     def test_equals_close_loop_preset(self):
         spec, assign = paper_benchmark(10.0)
         G, env = partition(build_network(spec), spec, assign)
-        self._assert_same_blocks(G, env)
+        self._assert_same_blocks(G, env.sys)
 
     def test_zero_model_is_the_plant(self):
         G, _ = _plant(seed=20)
-        gplus = new_subsystem(G, EnvironmentModel.zero(G.L.shape[1], G.Gamma.shape[0]))
+        gplus = new_subsystem(G, StateSpace.zero(G.L.shape[1], G.Gamma.shape[0]))
         for name in ("A", "B", "L", "W", "Gamma", "S", "C"):
             assert np.array_equal(getattr(gplus, name), getattr(G, name)), name
 
@@ -170,7 +169,7 @@ class TestExtendedRectifier:
         G, rng = _plant(seed=0)
         nv = G.L.shape[1]
         nw = G.Gamma.shape[0]
-        rect = extended_rectifier(G, EnvironmentModel.zero(nv, nv))
+        rect = extended_rectifier(G, StateSpace.zero(nv, nv))
         ny = G.C.shape[0]
         for w in 10.0 ** rng.uniform(-2, 2, size=20):
             H = freq_response(rect, w)
@@ -187,13 +186,11 @@ class TestExtendedRectifier:
 
     def test_dynamic_model_matches_defining_equations(self):
         G, rng = _plant(seed=1)
-        apx = EnvironmentModel(
-            StateSpace(
-                np.array([[-1.0, 0.3], [0.0, -2.0]]),
-                rng.standard_normal((2, 2)),
-                rng.standard_normal((2, 2)),
-                0.1 * rng.standard_normal((2, 2)),
-            )
+        apx = StateSpace(
+            np.array([[-1.0, 0.3], [0.0, -2.0]]),
+            rng.standard_normal((2, 2)),
+            rng.standard_normal((2, 2)),
+            0.1 * rng.standard_normal((2, 2)),
         )
         rect = extended_rectifier(G, apx)
         for w in 10.0 ** rng.uniform(-2, 2, size=50):
@@ -203,15 +200,13 @@ class TestExtendedRectifier:
 
     def test_unstable_model_still_annihilates(self):
         G, rng = _plant(seed=2)
-        apx = EnvironmentModel(
-            StateSpace([[0.5]], rng.standard_normal((1, 2)),
-                       rng.standard_normal((2, 1)))
-        )
+        apx = StateSpace([[0.5]], rng.standard_normal((1, 2)),
+                         rng.standard_normal((2, 1)))
         assert kernel_residual(G, extended_rectifier(G, apx)) < 1e-8
 
     def test_static_model_adds_no_states(self):
         G, rng = _plant(seed=3)
-        apx = EnvironmentModel.from_gain(0.3 * rng.standard_normal((2, 2)))
+        apx = StateSpace.from_gain(0.3 * rng.standard_normal((2, 2)))
         rect = extended_rectifier(G, apx)
         assert rect.n_states == G.A.shape[0]
 
@@ -227,7 +222,7 @@ class TestExtendedRectifier:
     def test_sign_flip_breaks_kernel(self):
         G, _ = _plant(seed=5)
         nv = G.L.shape[1]
-        rect = extended_rectifier(G, EnvironmentModel.zero(nv, nv))
+        rect = extended_rectifier(G, StateSpace.zero(nv, nv))
         broken = StateSpace(rect.A, rect.B, rect.C, -rect.D)
         assert kernel_residual(G, broken) > 1e-3
 
@@ -243,7 +238,7 @@ class TestAdmissibility:
     def test_destabilizing_environment_rejected(self):
         G, _ = _plant(seed=7)
         nv = G.L.shape[1]
-        env = EnvironmentModel.from_gain(1e3 * np.ones((nv, nv)))
+        env = StateSpace.from_gain(1e3 * np.ones((nv, nv)))
         assert not check_admissible(G, env)
 
 
@@ -282,7 +277,7 @@ class TestRetrofitComposition:
         spec, assign = paper_benchmark(5.0)
         G, env = partition(build_network(spec), spec, assign)
         nv = G.L.shape[1]
-        apx = EnvironmentModel.zero(nv, nv)
+        apx = StateSpace.zero(nv, nv)
         module = lqg_module(new_subsystem(G, apx))
         K_direct = direct_controller(G, module)
         assert invariance_residual(G, K_direct) > 1e-3
@@ -290,7 +285,7 @@ class TestRetrofitComposition:
     def test_static_module_realization(self):
         G, rng = _plant(seed=10)
         nv = G.L.shape[1]
-        apx = EnvironmentModel.zero(nv, nv)
+        apx = StateSpace.zero(nv, nv)
         rect = extended_rectifier(G, apx)
         Ky = 0.1 * rng.standard_normal((2, 2))
         Kw = 0.1 * rng.standard_normal((2, 2))
@@ -303,7 +298,7 @@ class TestRetrofitComposition:
     def test_destabilizing_module_rejected(self):
         G, _ = _plant(seed=11)
         nv = G.L.shape[1]
-        apx = EnvironmentModel.zero(nv, nv)
+        apx = StateSpace.zero(nv, nv)
         with pytest.raises(Exception):
             compose_retrofit(G, apx, _destabilizing_module(G))
 
@@ -336,7 +331,7 @@ class TestDesignLoop:
         nv = G.L.shape[1]
         bad = StateSpace.zero(2, 5)
         with pytest.raises(ValueError, match="module maps 5 -> 2"):
-            compose_retrofit(G, EnvironmentModel.zero(nv, nv), bad)
+            compose_retrofit(G, StateSpace.zero(nv, nv), bad)
 
 
 class TestWrongSize:
@@ -346,9 +341,9 @@ class TestWrongSize:
     def _bad_models():
         rng = np.random.default_rng(19)
         return [
-            EnvironmentModel.zero(3, 2),
-            EnvironmentModel.zero(2, 3),
-            EnvironmentModel(random_statespace(rng, 2, 2, 3)),
+            StateSpace.zero(3, 2),
+            StateSpace.zero(2, 3),
+            random_statespace(rng, 2, 2, 3),
         ]
 
     @pytest.mark.parametrize(
@@ -370,7 +365,7 @@ class TestWrongSize:
     def test_refused(self, call):
         G, _ = _plant(seed=19)
         nu, ny, nw, nv = G.B.shape[1], G.C.shape[0], G.Gamma.shape[0], G.L.shape[1]
-        good = EnvironmentModel.zero(nv, nw)
+        good = StateSpace.zero(nv, nw)
         mod = StateSpace.zero(nu, ny + nw)
         K = StateSpace.zero(nu, ny + nw + nv)
         for bad in self._bad_models():
@@ -415,7 +410,7 @@ class TestPerformanceBounds:
         G, rng = _plant(seed=11)
         env = random_admissible_env(rng, G)
         nv = G.L.shape[1]
-        apx = EnvironmentModel.zero(nv, nv)
+        apx = StateSpace.zero(nv, nv)
         with pytest.raises(ValueError, match="does not stabilize"):
             performance_bounds(G, env, apx, _destabilizing_module(G))
 

@@ -19,7 +19,7 @@ from retrofit_control import (
     lqg_module,
     spectral_abscissa,
 )
-from retrofit_control.retrofit import new_subsystem, EnvironmentModel
+from retrofit_control.retrofit import new_subsystem
 
 
 def _scalar_plant(a=-1.0):

@@ -89,7 +89,7 @@ class TestCascadeEquivalence:
         monkeypatch.setattr(
             verification, "cascade_realization",
             lambda G, env, apx, module: _scaled_coupling(
-                real(G, env, apx, module), G.A.shape[0] + env.sys.n_states
+                real(G, env, apx, module), G.A.shape[0] + env.n_states
             ),
         )
         res = check_cascade_equivalence(seed=0, n_cases=N_CASES)
