@@ -31,7 +31,6 @@ from .numerics import (
 from .oscnet import (
     ChannelAssignment,
     NetworkSpec,
-    boundary_nodes,
     build_network,
     paper_benchmark,
     partition,

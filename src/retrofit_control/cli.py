@@ -17,8 +17,9 @@ Subcommands:
 Configuration is a single versioned JSON document whose unknown keys are
 rejected; the ``"paper-benchmark"`` network preset encodes the 36-node
 oscillator benchmark.  The environment variable ``RETROFIT_CTL_THREADS``
-caps sweep parallelism.  Outputs are byte-identical across reruns of the
-same config and seed.
+caps sweep parallelism.  Bad input is refused, before any output, with
+one ``retrofit-ctl: error:`` line and exit status 2.  Outputs are
+byte-identical across reruns of the same config and seed.
 """
 
 import argparse
@@ -107,8 +108,8 @@ _GRID_RULES = {
 
 
 # Key -> (check, expected form) of a custom ``network`` object (``k_c``
-# comes from the grid) and of its ``channels`` object; ``_network_at``
-# reads every one of them.
+# comes from the grid) and of its ``channels`` object, one key per
+# ``ChannelAssignment`` field; ``_network_at`` reads every one of them.
 _NETWORK_KEYS = {
     "node_count": (_is_int, "an integer"),
     "edges": (lambda x: _is_list(x, _is_edge), "a list of [i, j, stiffness]"),
@@ -118,7 +119,7 @@ _NETWORK_KEYS = {
     "channels": (lambda x: isinstance(x, dict), "an object"),
 }
 _CHANNEL_KEYS = dict.fromkeys(
-    ("actuated", "disturbed", "measured", "evaluated", "boundary"),
+    (f.name for f in dataclasses.fields(ChannelAssignment)),
     (lambda x: _is_list(x, _is_int), "a list of integers"),
 )
 
@@ -135,14 +136,21 @@ def _check_keys(obj, checks, where):
             raise ValueError(f"{where} {key} must be {form}")
 
 
-def _check_network(net):
-    """Refuse a ``network`` that is neither the preset nor a well-formed object."""
+def _check_network(cfg):
+    """Refuse a ``network`` that is neither the preset nor a network that partitions."""
+    net = cfg["network"]
     if net == "paper-benchmark":
         return
     if not isinstance(net, dict):
         raise ValueError(f'network must be "paper-benchmark" or an object, got {net!r}')
     _check_keys(net, _NETWORK_KEYS, "network")
     _check_keys(net["channels"], _CHANNEL_KEYS, "network channels")
+    try:
+        # Which networks are valid does not depend on k_c >= 0.
+        spec, assign = _network_at(cfg, 0.0)
+        partition(build_network(spec), spec, assign)
+    except ValueError as exc:
+        raise ValueError(f"network: {exc}") from exc
 
 
 def load_config(path):
@@ -157,7 +165,7 @@ def load_config(path):
     finite number > 0, a ``seed`` that is not an integer, and a ``network``
     that is neither ``"paper-benchmark"`` nor an object with exactly the
     keys a custom network is read from, each of the right type (its numbers
-    finite); each error names the key.
+    finite), that builds and partitions; each error names the key.
     """
     cfg = dict(DEFAULT_CONFIG)
     cfg["simulate"] = dict(DEFAULT_CONFIG["simulate"])
@@ -188,7 +196,7 @@ def load_config(path):
             raise ValueError(f"{key} must be a number > 0, got {value!r}")
     if not _is_int(cfg["seed"]):
         raise ValueError(f"seed must be an integer, got {cfg['seed']!r}")
-    _check_network(cfg["network"])
+    _check_network(cfg)
     return cfg
 
 
@@ -197,16 +205,10 @@ def _network_at(cfg, k_c):
     net = cfg["network"]
     if net == "paper-benchmark":
         return paper_benchmark(k_c, seed=cfg["seed"])
-    spec = NetworkSpec(
-        node_count=net["node_count"],
-        edges=tuple(tuple(e) for e in net["edges"]),
-        inertia=tuple(net["inertia"]),
-        damping=tuple(net["damping"]),
-        subsystem_nodes=tuple(net["subsystem_nodes"]),
-        k_c=float(k_c),
-    )
-    assign = ChannelAssignment(**{k: tuple(net["channels"][k]) for k in _CHANNEL_KEYS})
-    return spec, assign
+    # Both constructors turn the JSON lists into tuples of checked numbers.
+    spec_fields = {k: v for k, v in net.items() if k != "channels"}
+    spec = NetworkSpec(k_c=float(k_c), **spec_fields)
+    return spec, ChannelAssignment(**net["channels"])
 
 
 def _thread_count():
@@ -283,8 +285,7 @@ def _sweep_point(cfg, G, env_min, apx, merr, k_c, napx, alpha):
     return row, None
 
 
-def cmd_sweep(cfg, out_dir):
-    workers = _thread_count()
+def cmd_sweep(cfg, out_dir, workers):
     os.makedirs(out_dir, exist_ok=True)
     kc_grid = cfg["kc_grid"]
     napx_grid = cfg["napx_grid"]
@@ -361,10 +362,8 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
             print(f"synthesis failed at kc={k_c} napx={napx} alpha={alpha}: {exc}",
                   file=sys.stderr)
             return 1
-    elif mode == "none":
+    else:  # "none"; argparse's choices refuse any other mode
         module = StateSpace.zero(G.B.shape[1], ny + nw)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     d = np.zeros((n_samples, G.W.shape[1]))
     d[0, 0] = 1.0 / dt  # impulse at the first disturbance channel
@@ -445,15 +444,20 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        for flag in ("kc", "napx", "alpha"):
+    try:
+        # simulate's flags follow the rules of the matching grid.
+        for flag in ("kc", "napx", "alpha") if args.command == "simulate" else ():
             ok, form = _GRID_RULES[f"{flag}_grid"]
             value = getattr(args, flag)
             if not (_is_number(value) and ok(value)):
-                parser.error(f"argument --{flag}: must be {form}, got {value!r}")
-    cfg = load_config(args.config)
+                raise ValueError(f"argument --{flag}: must be {form}, got {value!r}")
+        cfg = load_config(args.config)
+        if args.command == "sweep":
+            workers = _thread_count()
+    except (OSError, ValueError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     if args.command == "sweep":
-        return cmd_sweep(cfg, args.out)
+        return cmd_sweep(cfg, args.out, workers)
     if args.command == "simulate":
         return cmd_simulate(cfg, args.kc, args.napx, args.alpha, args.mode, args.out)
     return cmd_verify(cfg, args.fuzz_count, args.seed, args.out)

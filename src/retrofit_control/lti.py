@@ -139,7 +139,6 @@ def add(g1, g2):
     """Parallel sum: same input into both, outputs added."""
     if g1.n_inputs != g2.n_inputs or g1.n_outputs != g2.n_outputs:
         raise ValueError("add: dimension mismatch")
-    n1, n2 = g1.n_states, g2.n_states
     A = scipy.linalg.block_diag(g1.A, g2.A)
     B = np.vstack([g1.B, g2.B])
     C = np.hstack([g1.C, g2.C])

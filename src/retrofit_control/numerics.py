@@ -121,7 +121,7 @@ def solve_riccati(A, S, Q):
             "no stabilizing Riccati solution exists"
         )
 
-    T, Z, sdim = scipy.linalg.schur(H, output="real", sort="lhp")
+    _, Z, sdim = scipy.linalg.schur(H, output="real", sort="lhp")
     if sdim != n:
         raise NumericsError(
             f"stable invariant subspace has dimension {sdim}, expected {n}"
@@ -214,10 +214,10 @@ def _refine_witness(A, B, C, D, w, g, tol, width=0.0):
     for _ in range(_MAX_REFINE):
         pts.sort(reverse=True)
         (g0, x0), (g1, x1) = pts[:2]
-        g2, x2 = (g1, -x1) if x0 == 0.0 else pts[2]
         right = [x for _, x in pts if x > x0]
         if not right:
             break
+        g2, x2 = (g1, -x1) if x0 == 0.0 else pts[2]
         hi = min(right)
         lo = max([x for _, x in pts if x < x0], default=-hi)
         # 1/g**2 = f0 + slope * d + curv * d**2 at x0 + d through the three points.

@@ -3,12 +3,14 @@
 Nodes carry angle/rate states with dynamics
 ``M_i theta_i'' = -D_i theta_i' + sum_j K_ij (theta_j - theta_i) + f_i``
 (the stabilizing Laplacian sign convention).  Edges crossing the chosen
-subsystem boundary all share one coupling stiffness ``k_c``; the partition
-exposes the boundary force as the interconnection input ``v`` and the
-boundary angles as the interconnection output ``w``.
+subsystem boundary all share one coupling stiffness ``k_c``.  The boundary
+nodes are not declared: they are the subsystem ends of the crossing edges.
+The partition exposes the boundary force as the interconnection input
+``v`` and the boundary angles as the interconnection output ``w``, one
+channel per boundary node.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,7 +22,6 @@ __all__ = [
     "ChannelAssignment",
     "build_network",
     "partition",
-    "boundary_nodes",
     "paper_benchmark",
     "BENCHMARK_SEED",
 ]
@@ -85,27 +86,19 @@ class NetworkSpec:
         if self.k_c < 0:
             raise ValueError("boundary stiffness k_c must be nonnegative")
 
-    def is_boundary_edge(self, i, j):
-        ins = i in set(self.subsystem_nodes)
-        jns = j in set(self.subsystem_nodes)
-        return ins != jns
-
     def effective_edges(self):
-        """Edge list with boundary stiffnesses replaced by ``k_c``."""
+        """Each edge as ``(i, j, stiffness, crossing)``, in edge order.
+
+        An edge crosses the boundary when exactly one endpoint lies in
+        ``subsystem_nodes``; it is then listed subsystem node first, with
+        ``k_c`` in place of its own stiffness.
+        """
+        sub = set(self.subsystem_nodes)
         return tuple(
-            (i, j, self.k_c if self.is_boundary_edge(i, j) else k)
+            (i, j, k, False) if (i in sub) == (j in sub)
+            else ((i, j) if i in sub else (j, i)) + (self.k_c, True)
             for i, j, k in self.edges
         )
-
-
-def boundary_nodes(spec):
-    """Subsystem nodes with at least one edge into the environment."""
-    sub = set(spec.subsystem_nodes)
-    nodes = set()
-    for i, j, _ in spec.edges:
-        if (i in sub) != (j in sub):
-            nodes.add(i if i in sub else j)
-    return tuple(sorted(nodes))
 
 
 @dataclass(frozen=True)
@@ -113,38 +106,31 @@ class ChannelAssignment:
     """Subsystem node roles for the external channels.
 
     ``measured`` nodes expose both angle and rate; ``evaluated`` nodes
-    expose the rate only.  ``boundary`` must be exactly the subsystem nodes
-    with edges into the environment.
+    expose the rate only.
     """
 
     actuated: tuple
     disturbed: tuple
     measured: tuple
     evaluated: tuple
-    boundary: tuple
 
     def __post_init__(self):
-        for name in ("actuated", "disturbed", "measured", "evaluated", "boundary"):
-            vals = tuple(sorted(int(i) for i in getattr(self, name)))
+        for f in fields(self):
+            vals = tuple(sorted(int(i) for i in getattr(self, f.name)))
             if len(set(vals)) != len(vals):
-                raise ValueError(f"duplicate node in {name}")
-            object.__setattr__(self, name, vals)
+                raise ValueError(f"duplicate node in {f.name}")
+            object.__setattr__(self, f.name, vals)
 
     def validate(self, spec):
         sub = set(spec.subsystem_nodes)
-        for name in ("actuated", "disturbed", "measured", "evaluated", "boundary"):
-            if not set(getattr(self, name)) <= sub:
-                raise ValueError(f"{name} nodes must lie inside the subsystem")
-        if self.boundary != boundary_nodes(spec):
-            raise ValueError(
-                "boundary nodes must be exactly the subsystem nodes with "
-                "environment edges"
-            )
+        for f in fields(self):
+            if not set(getattr(self, f.name)) <= sub:
+                raise ValueError(f"{f.name} nodes must lie inside the subsystem")
 
 
 def _laplacian(n, edges):
     Lm = np.zeros((n, n))
-    for i, j, k in edges:
+    for i, j, k, *_ in edges:
         Lm[i, i] += k
         Lm[j, j] += k
         Lm[i, j] -= k
@@ -198,18 +184,16 @@ def partition(full, spec, assign):
     """Split the network into a partitioned subsystem and its environment.
 
     The subsystem keeps only its internal edges; the boundary force enters
-    through ``v`` (one channel per boundary node) and the boundary angles
-    leave through ``w``.  The environment, the StateSpace in the record's
-    ``sys``, maps ``w`` to ``v`` and carries the environment-internal
-    Laplacian grounded by the boundary stiffness, so closing ``v = env(w)``
-    reproduces ``full`` exactly.
+    through ``v`` and the boundary angles leave through ``w``, one channel
+    per boundary node, the sorted subsystem ends of the crossing edges.
+    The environment, the StateSpace in the record's ``sys``, maps ``w`` to
+    ``v`` and carries the environment-internal Laplacian grounded by the
+    boundary stiffness, so closing ``v = env(w)`` reproduces ``full``
+    exactly.
     """
     assign.validate(spec)
     if full.n_states != 2 * spec.node_count:
         raise ValueError("full system does not match the network spec")
-    bnodes = assign.boundary
-    if not bnodes:
-        raise ValueError("no boundary edges; nothing to partition")
 
     sub = list(spec.subsystem_nodes)
     env_nodes = [i for i in range(spec.node_count) if i not in set(sub)]
@@ -222,15 +206,16 @@ def partition(full, spec, assign):
     Me, De_ = M[env_nodes], D[env_nodes]
 
     sub_edges, env_edges, cross = [], [], []
-    for i, j, k in spec.edges:
-        ins, jns = i in spos, j in spos
-        if ins and jns:
+    for i, j, k, crossing in spec.effective_edges():
+        if crossing:
+            cross.append((i, j))
+        elif i in spos:
             sub_edges.append((spos[i], spos[j], k))
-        elif not ins and not jns:
-            env_edges.append((epos[i], epos[j], k))
         else:
-            b, e = (i, j) if ins else (j, i)
-            cross.append((b, e))
+            env_edges.append((epos[i], epos[j], k))
+    bnodes = sorted({b for b, _ in cross})
+    if not bnodes:
+        raise ValueError("no boundary edges; nothing to partition")
 
     A_sub = _second_order(_laplacian(ns, sub_edges), Ms, Ds)
     L = _force_columns(bnodes, sub, Ms)
@@ -345,6 +330,5 @@ def paper_benchmark(k_c, seed=BENCHMARK_SEED):
         disturbed=(0, 1, 2),
         measured=(1, 2, 3),
         evaluated=tuple(sub),
-        boundary=(0, 4, 5),
     )
     return spec, assign

@@ -182,7 +182,7 @@ def hinf_synthesize(design_plant, alpha, eps=DEFAULT_NOISE_SCALE, gamma_tol=1e-3
             best = (mid, cand)
 
     gamma, data = best
-    for backoff in range(8):
+    for _ in range(8):
         K = _central_controller(A, terms, gamma, data)
         closed = select(
             close_loop(plant, K, np.arange(nexo, nexo + nu), np.arange(nperf, nperf + nmeas)),

@@ -5,7 +5,8 @@ models, then exercises the defining properties of the construction: the
 rectifier kernel identity, robust closed-loop stability under every
 admissible environment, equivalence of the direct and cascade closed-loop
 realizations, the performance-bound sandwich, and the pointwise matrix
-identities used throughout the interconnection algebra.
+identities used throughout the interconnection algebra.  Each check's
+pass threshold, and each sample size that no caller varies, is a constant.
 """
 
 from dataclasses import dataclass, field
@@ -42,6 +43,16 @@ __all__ = [
     "check_matrix_identities",
     "run_all_checks",
 ]
+
+# Pass thresholds on a check's worst case; robust stability uses STABILITY_TOL.
+KERNEL_TOL = 1e-8
+CASCADE_TOL = 1e-6
+SANDWICH_SLACK = 1e-9
+MATRIX_TOL = 1e-9
+# Sample sizes: cases of two checks, approximate models of robust stability.
+KERNEL_CASES = 20
+MATRIX_CASES = 20
+ROBUST_APX = 10
 
 
 @dataclass
@@ -146,7 +157,7 @@ def _verified_module(rng, G, apx):
     raise NumericsError("could not stabilize any sampled design plant")
 
 
-def check_kernel_identity(seed=0, n_cases=20, tol=1e-8):
+def check_kernel_identity(seed=0):
     """Rectified outputs are annihilated along the environment channel.
 
     Max over sampled (plant, model) pairs and the frequency grid of
@@ -154,28 +165,28 @@ def check_kernel_identity(seed=0, n_cases=20, tol=1e-8):
     """
     rng = np.random.default_rng(seed)
     cases = []
-    for ic in range(n_cases):
+    for ic in range(KERNEL_CASES):
         G = random_partitioned_plant(rng)
         rect = extended_rectifier(G, random_apx(rng, G))
         cases.append((kernel_residual(G, rect), {"seed": seed, "case": ic}))
-    return _verdict("kernel identity", tol, cases)
+    return _verdict("kernel identity", KERNEL_TOL, cases)
 
 
-def check_robust_stability(seed=0, n_env=50, n_apx=10, tol=STABILITY_TOL):
+def check_robust_stability(seed=0, n_env=50):
     """Every verified module keeps every admissible environment stable."""
     rng = np.random.default_rng(seed)
     G = random_partitioned_plant(rng)
     envs = [random_admissible_env(rng, G) for _ in range(n_env)]
     cases = []
-    for ia in range(n_apx):
+    for ia in range(ROBUST_APX):
         module, apx = _verified_module(rng, G, random_apx(rng, G))
         K = compose_retrofit(G, apx, module)
         for ie, env in enumerate(envs):
             absc = deflated_abscissa(closed_loop_direct(G, env, K))
             cases.append((absc, {"seed": seed, "apx": ia, "env": ie}))
-    stable = sum(absc < tol for absc, _ in cases)
+    stable = sum(absc < STABILITY_TOL for absc, _ in cases)
     return _verdict(
-        "robust stability", tol, cases, passed=stable == len(cases),
+        "robust stability", STABILITY_TOL, cases, passed=stable == len(cases),
         detail=f"{stable}/{len(cases)} stable",
     )
 
@@ -197,7 +208,7 @@ def _designs(seed, n_cases):
         yield G, env, apx, module
 
 
-def check_cascade_equivalence(seed=0, n_cases=10, tol=1e-6):
+def check_cascade_equivalence(seed=0, n_cases=10):
     """Direct interconnection and cascade realization share the same T_zd."""
     cases = []
     for ic, (G, env, apx, module) in enumerate(_designs(seed, n_cases)):
@@ -205,10 +216,10 @@ def check_cascade_equivalence(seed=0, n_cases=10, tol=1e-6):
         casc = cascade_realization(G, env, apx, module)
         T_zd = select(casc, np.arange(G.S.shape[0]))
         cases.append((_relative_gap(direct, T_zd), {"seed": seed, "case": ic}))
-    return _verdict("cascade equivalence", tol, cases)
+    return _verdict("cascade equivalence", CASCADE_TOL, cases)
 
 
-def check_bound_sandwich(seed=0, n_cases=10, slack=1e-9):
+def check_bound_sandwich(seed=0, n_cases=10):
     """|gamma_check - gamma_hat| <= ||T_zd|| <= gamma_hat + gamma_check."""
     cases = []
     for ic, (G, env, apx, module) in enumerate(_designs(seed, n_cases)):
@@ -216,17 +227,17 @@ def check_bound_sandwich(seed=0, n_cases=10, slack=1e-9):
         replay = {"seed": seed, "case": ic}
         if not report.stable:
             return CheckResult(
-                "bound sandwich", False, np.inf, slack, ic + 1,
+                "bound sandwich", False, np.inf, SANDWICH_SLACK, ic + 1,
                 detail="unstable closed loop", replay=replay,
             )
         violation = max(
             report.lower - report.gamma_actual, report.gamma_actual - report.upper
         )
         cases.append((violation, replay))
-    return _verdict("bound sandwich", slack, cases)
+    return _verdict("bound sandwich", SANDWICH_SLACK, cases)
 
 
-def check_matrix_identities(seed=0, n_cases=20, tol=1e-9):
+def check_matrix_identities(seed=0):
     """Pointwise loop-algebra identities for random square transfer matrices.
 
     Checks ``(I+PK)^{-1} = I - PK(I+PK)^{-1}`` and
@@ -236,7 +247,7 @@ def check_matrix_identities(seed=0, n_cases=20, tol=1e-9):
     """
     rng = np.random.default_rng(seed)
     cases = []
-    for ic in range(n_cases):
+    for ic in range(MATRIX_CASES):
         m = int(rng.integers(1, 4))
         P = random_statespace(rng, 3, m, m, stable=True)
         K = random_statespace(rng, 2, m, m, stable=True)
@@ -259,7 +270,7 @@ def check_matrix_identities(seed=0, n_cases=20, tol=1e-9):
             np.linalg.norm(lhs1 - rhs1) / scale, np.linalg.norm(lhs2 - rhs2) / scale
         )
         cases.append((val, {"seed": seed, "case": ic}))
-    return _verdict("matrix identities", tol, cases)
+    return _verdict("matrix identities", MATRIX_TOL, cases)
 
 
 def run_all_checks(seed=0, fuzz_count=50):
@@ -275,7 +286,7 @@ def run_all_checks(seed=0, fuzz_count=50):
     results = [check_matrix_identities(seed=seed)]
     if fuzz_count > 0:
         results.append(check_kernel_identity(seed=seed))
-        results.append(check_robust_stability(seed=seed, n_env=fuzz_count, n_apx=10))
+        results.append(check_robust_stability(seed=seed, n_env=fuzz_count))
         results.append(check_cascade_equivalence(seed=seed))
         results.append(check_bound_sandwich(seed=seed))
     return results

@@ -88,8 +88,9 @@ def verify_run(tmp_path_factory):
 
 def test_criterion_01_kernel_identity():
     t0 = time.monotonic()
-    res = check_kernel_identity(seed=0, n_cases=20, tol=1e-8)
+    res = check_kernel_identity(seed=0)
     elapsed = time.monotonic() - t0
+    assert res.tol == 1e-8 and res.cases == 20
     _report(
         1, "kernel identity", res.passed and elapsed < 30.0,
         f"worst {res.worst:.2e} over {res.cases} cases in {elapsed:.1f}s",
@@ -98,8 +99,9 @@ def test_criterion_01_kernel_identity():
 
 def test_criterion_02_robust_stability():
     t0 = time.monotonic()
-    res = check_robust_stability(seed=0, n_env=50, n_apx=10)
+    res = check_robust_stability(seed=0, n_env=50)
     elapsed = time.monotonic() - t0
+    assert res.tol == -1e-9 and res.cases == 50 * 10
     _report(
         2, "robust stability", res.passed and elapsed < 120.0,
         f"{res.detail}, worst abscissa {res.worst:.2e} in {elapsed:.1f}s",
@@ -107,7 +109,8 @@ def test_criterion_02_robust_stability():
 
 
 def test_criterion_03_cascade_equivalence():
-    res = check_cascade_equivalence(seed=0, n_cases=10, tol=1e-6)
+    res = check_cascade_equivalence(seed=0, n_cases=10)
+    assert res.tol == 1e-6
     _report(
         3, "cascade equivalence", res.passed,
         f"worst relative gap {res.worst:.2e} over {res.cases} configs",

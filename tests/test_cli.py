@@ -44,7 +44,7 @@ def _network_object(k_c, seed=6):
         "subsystem_nodes": list(spec.subsystem_nodes),
         "channels": {
             name: list(getattr(assign, name))
-            for name in ("actuated", "disturbed", "measured", "evaluated", "boundary")
+            for name in ("actuated", "disturbed", "measured", "evaluated")
         },
     }
 
@@ -221,7 +221,7 @@ class TestSweep:
             (
                 "network",
                 {**_network_object(2),
-                 "channels": _without(_network_object(2)["channels"], "boundary")},
+                 "channels": {**_network_object(2)["channels"], "boundary": [0, 4, 5]}},
                 "boundary",
             ),
             ("network", {**_network_object(2), "node_count": "36"}, "node_count"),
@@ -235,6 +235,12 @@ class TestSweep:
             ("eps", float("nan"), "eps"),
             ("gamma_tol", float("inf"), "gamma_tol"),
             ("network", {**_network_object(2), "damping": [float("nan")] * 36}, "damping"),
+            (
+                "network",
+                {**_network_object(2),
+                 "channels": {**_network_object(2)["channels"], "actuated": [1, 30]}},
+                "network: actuated nodes must lie inside the subsystem",
+            ),
         ],
     )
     def test_scalar_values_rejected(self, tmp_path, key, value, match):
@@ -302,13 +308,35 @@ class TestSweep:
             assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
 
     @pytest.mark.parametrize("threads", ["two", "0", "-3", "1.5"])
-    def test_bad_thread_count_rejected(self, tmp_path, monkeypatch, threads):
+    def test_bad_thread_count_rejected(self, tmp_path, monkeypatch, capsys, threads):
         # Refused before any environment is built or any output is written.
         monkeypatch.setenv("RETROFIT_CTL_THREADS", threads)
         cfg = _write_cfg(tmp_path / "cfg.json")
         out = tmp_path / "o"
-        with pytest.raises(ValueError, match="RETROFIT_CTL_THREADS"):
+        with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: RETROFIT_CTL_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"alpha_grid": [0]}, "alpha_grid"),
+            ({"network": {**_network_object(2),
+                          "edges": [[0, 99, 5]] + _network_object(2)["edges"]}},
+             "network: bad edge (0, 99)"),
+        ],
+    )
+    def test_config_refused_in_one_line(self, tmp_path, overrides, key):
+        # A bad config is one error line and exit 2, not a traceback, and
+        # no output directory is made.
+        cfg = _write_cfg(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "o"
+        proc = _run("sweep", "--config", str(cfg), "--out", str(out), check=False)
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("retrofit-ctl: error: ") and key in line
         assert not out.exists()
 
 

@@ -351,6 +351,13 @@ class TestHinfNorm:
         sys = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), D)
         assert hinf_norm(sys) == pytest.approx(3.0, abs=1e-12)
 
+    def test_gain_tie_at_zero_frequency(self):
+        # With C = 0 the gain is |D| at every frequency, so the probe at 0
+        # ties exactly with the one at the only pole frequency.
+        A = np.array([[-0.1, 1.0], [-1.0, -0.1]])
+        sys = StateSpace(A, [[1.0], [0.0]], [[0.0, 0.0]], [[2.0]])
+        assert hinf_norm(sys) == pytest.approx(2.0, rel=1e-6)
+
     def test_matches_dense_grid(self):
         rng = np.random.default_rng(6)
         for _ in range(5):

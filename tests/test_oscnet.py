@@ -12,7 +12,6 @@ from retrofit_control import (
     ChannelAssignment,
     NetworkSpec,
     StateSpace,
-    boundary_nodes,
     build_network,
     check_admissible,
     close_loop,
@@ -47,15 +46,18 @@ class TestNetworkSpec:
 
     def test_boundary_stiffness_substitution(self):
         spec = _two_node_spec(k_c=2.0)
-        assert spec.effective_edges() == ((0, 1, 2.0),)
-        assert boundary_nodes(spec) == (0,)
+        assert spec.effective_edges() == ((0, 1, 2.0, True),)
+        # A crossing edge is listed subsystem node first.
+        spec = NetworkSpec(
+            3, ((0, 1, 7.0), (1, 2, 3.0)), (1.0,) * 3, (0.1,) * 3, (0, 2), 9.0
+        )
+        assert spec.effective_edges() == ((0, 1, 9.0, True), (2, 1, 9.0, True))
 
     def test_internal_edge_keeps_stiffness(self):
         spec = NetworkSpec(
             3, ((0, 1, 7.0), (1, 2, 3.0)), (1.0,) * 3, (0.1,) * 3, (0, 1), 9.0
         )
-        assert spec.effective_edges() == ((0, 1, 7.0), (1, 2, 9.0))
-        assert boundary_nodes(spec) == (1,)
+        assert spec.effective_edges() == ((0, 1, 7.0, False), (1, 2, 9.0, True))
 
 
 class TestBuildNetwork:
@@ -152,17 +154,30 @@ class TestPartition:
         G, env = partition(build_network(spec), spec, assign)
         assert check_admissible(G, env.sys)
 
-    def test_boundary_mismatch_rejected(self):
+    def test_boundary_nodes_are_crossing_edge_ends(self):
         spec, assign = paper_benchmark(3.0)
-        bad = ChannelAssignment(
-            actuated=assign.actuated,
-            disturbed=assign.disturbed,
-            measured=assign.measured,
-            evaluated=assign.evaluated,
-            boundary=(0, 1, 4),
+        G, _ = partition(build_network(spec), spec, assign)
+        rows, cols = np.nonzero(G.Gamma)
+        assert rows.tolist() == [0, 1, 2]
+        assert cols.tolist() == [0, 4, 5]
+
+    def test_one_crossing_edge_one_channel(self):
+        # Nodes 0-1 form the subsystem; only edge (1, 2) crosses.
+        assign = ChannelAssignment((0,), (0,), (0,), (0, 1))
+        spec = NetworkSpec(
+            4, ((0, 1, 5.0), (1, 2, 5.0), (2, 3, 5.0)), (1.0,) * 4, (0.2,) * 4,
+            (0, 1), 3.0,
         )
-        with pytest.raises(ValueError):
-            partition(build_network(spec), spec, bad)
+        G, env = partition(build_network(spec), spec, assign)
+        assert G.L.shape[1] == G.Gamma.shape[0] == 1
+        assert np.nonzero(G.Gamma[0])[0].tolist() == [1]
+        assert env.sys.n_inputs == env.sys.n_outputs == 1
+        # Without the crossing edge there is no boundary.
+        spec = NetworkSpec(
+            4, ((0, 1, 5.0), (2, 3, 5.0)), (1.0,) * 4, (0.2,) * 4, (0, 1), 3.0
+        )
+        with pytest.raises(ValueError, match="no boundary edges"):
+            partition(build_network(spec), spec, assign)
 
 
 class TestPaperBenchmark:
@@ -172,19 +187,17 @@ class TestPaperBenchmark:
         assert s1 == s2 and a1 == a2
 
     def test_three_boundary_edges(self):
-        spec, assign = paper_benchmark(3.0)
-        crossing = [
-            (i, j) for i, j, _ in spec.edges if spec.is_boundary_edge(i, j)
-        ]
+        spec, _ = paper_benchmark(3.0)
+        crossing = [(i, j) for i, j, _, c in spec.effective_edges() if c]
         assert len(crossing) == 3
-        assert boundary_nodes(spec) == (0, 4, 5)
+        assert sorted(i for i, _ in crossing) == [0, 4, 5]
 
     def test_kc_only_scales_boundary(self):
         s_lo, _ = paper_benchmark(1.0)
         s_hi, _ = paper_benchmark(9.0)
-        internal_lo = [e for e in s_lo.effective_edges() if not s_lo.is_boundary_edge(e[0], e[1])]
-        internal_hi = [e for e in s_hi.effective_edges() if not s_hi.is_boundary_edge(e[0], e[1])]
+        internal_lo = [e for e in s_lo.effective_edges() if not e[3]]
+        internal_hi = [e for e in s_hi.effective_edges() if not e[3]]
         assert internal_lo == internal_hi
-        for i, j, k in s_hi.effective_edges():
-            if s_hi.is_boundary_edge(i, j):
+        for _, _, k, crossing in s_hi.effective_edges():
+            if crossing:
                 assert k == 9.0
