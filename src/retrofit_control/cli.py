@@ -451,6 +451,10 @@ def main(argv=None):
             value = getattr(args, flag)
             if not (_is_number(value) and ok(value)):
                 raise ValueError(f"argument --{flag}: must be {form}, got {value!r}")
+        if args.command == "verify" and args.fuzz_count < 0:
+            raise ValueError(
+                f"argument --fuzz-count: must be an integer >= 0, got {args.fuzz_count}"
+            )
         cfg = load_config(args.config)
         if args.command == "sweep":
             workers = _thread_count()

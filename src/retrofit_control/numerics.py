@@ -1,14 +1,18 @@
 """Dense matrix computations shared by the rest of the library.
 
 Eigenvalue-based stability tests, matrix exponentials, the Bartels-Stewart
-Lyapunov solver, the Riccati solver, and the L-infinity / H-infinity norm by
-a level-set iteration with gain-witnessed imaginary-axis crossings, whose
-witness is refined to a local peak before each Hamiltonian eigensolve.
+Lyapunov solver, the Riccati solver, the frequency-response core (batched
+LU, or one banded solve per point for a large upper Hessenberg realization),
+and the L-infinity / H-infinity norm by a level-set iteration with
+gain-witnessed imaginary-axis crossings, whose witness is refined to a
+local peak before each Hamiltonian eigensolve; a large realization is
+reduced to Hessenberg form once per norm.
 All routines operate on plain numpy arrays and are pure functions.
 """
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgbsv as _zgbsv
 
 __all__ = [
     "spectral_abscissa",
@@ -31,7 +35,9 @@ _MAX_LEVELS = 100
 # Cap on the interpolation steps of one witness refinement.
 _MAX_REFINE = 12
 # Complex entries in the (k, n, n) workspace of one batched solve; larger
-# caps raised the peak RSS of a run with no measured speed gain.
+# caps raised the peak RSS of a run with no measured speed gain.  An upper
+# Hessenberg system whose batch would hold fewer than two points (n >= 46)
+# takes one banded solve per point instead.
 _FREQ_BATCH = 2**12
 
 
@@ -154,11 +160,39 @@ def solve_care(A, B, Q, R):
     return P
 
 
+def _banded(n):
+    """Whether ``n`` states are many enough for the Hessenberg path: a
+    batch of ``_FREQ_BATCH`` entries would hold fewer than two points."""
+    return n * n > _FREQ_BATCH // 2
+
+
 def _freq_eval(A, B, C, D, w):
-    """``(k, p, m)`` stack of ``C (jwI - A)^{-1} B + D`` over the 1-D grid ``w``:
-    batched LU solves of at most ``_FREQ_BATCH`` complex entries, each point
-    bit-equal to its own solve.  No pole guard."""
+    """``(k, p, m)`` stack of ``C (jwI - A)^{-1} B + D`` over the 1-D grid ``w``.
+
+    Each point is bit-equal to its own evaluation.  When ``A`` is upper
+    Hessenberg and large enough for ``_banded``, each point is one banded
+    LU solve with partial pivoting (LAPACK ``zgbsv``, one subdiagonal),
+    O(n^2) where a dense LU is O(n^3) (Laub 1981); ``hinf_norm`` reduces
+    its realization to that form once.  Every other system gets batched
+    LU solves of at most ``_FREQ_BATCH`` complex entries.  No pole guard:
+    an exactly singular point raises ``LinAlgError`` on either path.
+    """
     n = A.shape[0]
+    if _banded(n) and not np.any(np.tril(A, -2)):
+        # zgbsv band storage: entry (i, j) sits in row n + i - j of column
+        # j; the first row is workspace for the fill-in of the pivoting.
+        band = np.zeros((n + 2, n), dtype=complex, order="F")
+        i, j = np.triu_indices(n, -1)
+        band[n + i - j, j] = -A[i, j]
+        Bc = B.astype(complex)
+        X = np.empty((w.size,) + B.shape, dtype=complex)
+        for k, x in enumerate(w):
+            ab = band.copy(order="F")
+            ab[n] += 1j * x
+            _, _, X[k], info = _zgbsv(1, n - 1, ab, Bc, overwrite_ab=1)
+            if info > 0:
+                raise np.linalg.LinAlgError("Singular matrix")
+        return C @ X + D
     H = np.empty((w.size,) + D.shape, dtype=complex)
     if n == 0:
         H[:] = D
@@ -292,7 +326,11 @@ def hinf_norm(sys, tol=1e-6):
     checks the level ``lo * (1 + tol)`` on its Hamiltonian matrix, so one
     test usually certifies the result; a gain above it becomes the new
     ``lo``.  When no gain exceeds the level, the norm lies in
-    ``[lo, lo * (1 + tol)]`` and the midpoint is returned.
+    ``[lo, lo * (1 + tol)]`` and the midpoint is returned.  A realization
+    large enough for ``_freq_eval``'s banded path is reduced to upper
+    Hessenberg form once on entry, so the poles, the probes, the
+    Hamiltonians and every gain of the norm use that one form, and each
+    gain costs O(n^2).
 
     Parameters
     ----------
@@ -307,6 +345,10 @@ def hinf_norm(sys, tol=1e-6):
     C = np.asarray(sys.C, dtype=float)
     D = np.asarray(sys.D, dtype=float)
     n = A.shape[0]
+    if _banded(n):
+        # One Hessenberg form serves every frequency point of this norm.
+        A, Q = scipy.linalg.hessenberg(A, calc_q=True)
+        B, C = Q.T @ B, C @ Q
 
     if n > 0:
         poles = np.linalg.eigvals(A)

@@ -70,7 +70,12 @@ class NetworkSpec:
         object.__setattr__(self, "edges", tuple(norm_edges))
 
         for name in ("inertia", "damping"):
-            vals = tuple(float(v) for v in np.broadcast_to(getattr(self, name), (n,)))
+            vals = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if vals.shape not in ((1,), (n,)):
+                raise ValueError(
+                    f"{name} has {vals.size} entries, needs 1 or node_count = {n}"
+                )
+            vals = tuple(float(v) for v in np.broadcast_to(vals, (n,)))
             if min(vals) <= 0 and name == "inertia":
                 raise ValueError("inertia must be positive")
             if min(vals) < 0:

@@ -2,7 +2,8 @@
 
 Produces approximate environment models of selectable dimension together
 with the Hankel singular values and the classical twice-the-tail
-L-infinity error bound.
+L-infinity error bound.  A system is balanced once; truncating it again,
+at any order, reuses that balancing.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,9 @@ __all__ = ["BalancedReduction", "gramians", "balanced_truncate"]
 # Hankel values below this relative threshold are dropped unconditionally to
 # avoid ill-conditioned balancing transforms.
 _HANKEL_FLOOR = 1e-12
+
+# The last system balanced and its factors, ``(sys, (Lc, Lo, U, hsv, Vt))``.
+_last_balancing = (None, None)
 
 
 @dataclass(frozen=True)
@@ -53,14 +57,38 @@ def _psd_factor(W):
     return vecs * np.sqrt(vals)
 
 
+def _balancing(sys):
+    """Square-root balancing of ``sys``: ``(Lc, Lo, U, hsv, Vt)``.
+
+    With Gramian factors ``Wc = Lc Lc^T`` and ``Wo = Lo Lo^T``, the SVD
+    ``Lo^T Lc = U diag(hsv) Vt`` yields the Hankel values and the
+    balancing projection of every order (Laub, Heath, Paige & Ward 1987).
+    The last system balanced is kept with its factors, so truncating it
+    again at any order reuses them; ``StateSpace`` is immutable, so its
+    identity is the key.  At most that one system is held.
+    """
+    global _last_balancing
+    held, factors = _last_balancing
+    if held is sys:
+        return factors
+    Wc, Wo = gramians(sys)
+    Lc = _psd_factor(Wc)
+    Lo = _psd_factor(Wo)
+    U, hsv, Vt = np.linalg.svd(Lo.T @ Lc)
+    factors = Lc, Lo, U, hsv[: min(Lc.shape[1], Lo.shape[1])], Vt
+    for M in factors:
+        M.flags.writeable = False  # shared by every truncation of sys
+    _last_balancing = sys, factors
+    return factors
+
+
 def balanced_truncate(sys, r):
     """Balanced truncation retaining the ``r`` largest Hankel singular values.
 
-    Square-root method: with Gramian factors ``Wc = Lc Lc^T`` and
-    ``Wo = Lo Lo^T``, the SVD of ``Lo^T Lc`` yields the Hankel values and
-    the (oblique) balancing projection.  ``r = 0`` returns the static
-    D-only system.  Requested dimensions below the numerical Hankel rank
-    floor are clipped.
+    Square-root method on the balancing of ``_balancing``, which is
+    computed once per system and reused for every order.  ``r = 0``
+    returns the static D-only system.  Requested dimensions below the
+    numerical Hankel rank floor are clipped.
     """
     n = sys.n_states
     if not 0 <= r <= n:
@@ -68,11 +96,7 @@ def balanced_truncate(sys, r):
     if n == 0:
         return BalancedReduction(sys, np.zeros(0), 0.0)
 
-    Wc, Wo = gramians(sys)
-    Lc = _psd_factor(Wc)
-    Lo = _psd_factor(Wo)
-    U, hsv, Vt = np.linalg.svd(Lo.T @ Lc)
-    hsv = hsv[: min(Lc.shape[1], Lo.shape[1])]
+    Lc, Lo, U, hsv, Vt = _balancing(sys)
 
     significant = int(np.sum(hsv > _HANKEL_FLOOR * (hsv[0] if hsv.size else 0.0)))
     r_eff = min(r, significant)

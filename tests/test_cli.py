@@ -326,6 +326,10 @@ class TestSweep:
             ({"network": {**_network_object(2),
                           "edges": [[0, 99, 5]] + _network_object(2)["edges"]}},
              "network: bad edge (0, 99)"),
+            ({"network": {**_network_object(2), "inertia": [1.0] * 35}},
+             "network: inertia has 35 entries, needs 1 or node_count = 36"),
+            ({"network": {**_network_object(2), "damping": [0.1] * 3}},
+             "network: damping has 3 entries, needs 1 or node_count = 36"),
         ],
     )
     def test_config_refused_in_one_line(self, tmp_path, overrides, key):
@@ -447,13 +451,18 @@ class TestVerify:
         assert (tmp_path / "verify_failures.json").exists()
 
     def test_negative_fuzz_count_rejected(self, tmp_path):
+        # One error line and exit 2, like every other bad flag, before any
+        # check runs or any output directory is made.
+        out = tmp_path / "o"
         proc = _run(
             "verify", "--fuzz-count", "-5", "--seed", "0",
-            "--out", str(tmp_path), check=False,
+            "--out", str(out), check=False,
         )
-        assert proc.returncode != 0
-        assert "checks passed" not in proc.stdout
-        assert "fuzz_count" in proc.stderr
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("retrofit-ctl: error: argument --fuzz-count: ")
+        assert not out.exists()
 
     def test_zero_fuzz_count_runs_matrix_identities_only(self, tmp_path):
         proc = _run(

@@ -9,6 +9,7 @@ matrix exponential, and dense frequency-grid scans for the H-infinity norm.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from retrofit_control import numerics
 from retrofit_control import (
@@ -300,6 +301,8 @@ class TestFreqCore:
 
     @staticmethod
     def _check(sys, grid):
+        # Bit-equality with a dense solve holds on the LU path only.
+        assert not numerics._banded(sys.n_states)
         A, B, C, D = sys.A, sys.B, sys.C, sys.D
         ref = np.array([_scalar_response(A, B, C, D, w) for w in grid])
         gains = [np.linalg.svd(G, compute_uv=False)[0] for G in ref]
@@ -330,6 +333,129 @@ class TestFreqCore:
         rng = np.random.default_rng(10)
         grid = np.repeat([0.0, 0.3, 2.0, 7.5], 3)[np.argsort(rng.random(12))]
         self._check(self._system(rng, 9, 3, 2), grid)
+
+
+def _hessenberg_realization(sys):
+    """The realization ``(Q^T A Q, Q^T B, C Q, D)`` with upper Hessenberg ``A``."""
+    A, Q = scipy.linalg.hessenberg(sys.A, calc_q=True)
+    return StateSpace(A, Q.T @ sys.B, sys.C @ Q, sys.D)
+
+
+class TestHessenbergPath:
+    """A large upper Hessenberg system gets one banded solve per point."""
+
+    @staticmethod
+    def _counted_solves(monkeypatch):
+        calls = []
+        real = numerics._zgbsv
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "_zgbsv", counted)
+        return calls
+
+    @staticmethod
+    def _modal_system(seed, n, m, p, light):
+        """Random stable MIMO system: damped pairs and real poles under a
+        random orthogonal similarity; ``light`` adds a pair at -1e-3 +- 2j.
+
+        Unlike ``_near_axis_system``'s ``I + 0.3 N`` similarity, which is
+        ill-conditioned at these sizes, an orthogonal one keeps two
+        backward-stable solvers within 1e-12 of each other."""
+        rng = np.random.default_rng(seed)
+        A = np.zeros((n, n))
+        k = 0
+        if light:
+            A[:2, :2] = [[-1e-3, 2.0], [-2.0, -1e-3]]
+            k = 2
+        while k < n:
+            sigma = -(10.0 ** rng.uniform(-1.0, 0.5))
+            if k + 1 < n and rng.random() < 0.7:
+                w = 10.0 ** rng.uniform(-1.0, 1.0)
+                A[k:k + 2, k:k + 2] = [[sigma, w], [-w, sigma]]
+                k += 2
+            else:
+                A[k, k] = sigma
+                k += 1
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return StateSpace(Q @ A @ Q.T, rng.standard_normal((n, m)),
+                          rng.standard_normal((p, n)), rng.standard_normal((p, m)))
+
+    @pytest.mark.parametrize("n, m, p, light", [(46, 3, 2, False), (64, 2, 3, True),
+                                                (103, 3, 3, False)])
+    def test_matches_dense_solve(self, monkeypatch, n, m, p, light):
+        # Oracle: a dense solve per point on the unreduced realization.  The
+        # grid holds every pole frequency, the lightly damped one too.
+        sys = self._modal_system(n, n, m, p, light)
+        poles = np.linalg.eigvals(sys.A)
+        grid = np.unique(np.concatenate([[0.0], np.logspace(-3, 3, 60),
+                                         np.abs(poles.imag)]))
+        ref = np.array([_scalar_response(sys.A, sys.B, sys.C, sys.D, w) for w in grid])
+        calls = self._counted_solves(monkeypatch)
+        H = freq_response(_hessenberg_realization(sys), grid)
+        assert len(calls) == grid.size
+        err = np.abs(H - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+        assert err.max() < 1e-12
+
+    def test_grid_equals_scalar_calls(self):
+        sys = _hessenberg_realization(self._modal_system(4, 64, 2, 3, light=True))
+        grid = np.concatenate([np.logspace(-2, 2, 25), [0.0, 0.3, 0.3]])
+        H = freq_response(sys, grid)
+        gains = numerics._freq_gain(sys.A, sys.B, sys.C, sys.D, grid)
+        for k, w in enumerate(grid):
+            assert np.array_equal(freq_response(sys, w), H[k])
+            assert np.array_equal(
+                numerics._freq_gain(sys.A, sys.B, sys.C, sys.D, grid[k:k + 1]),
+                gains[k:k + 1])
+
+    def test_path_chosen_by_size_and_form(self, monkeypatch):
+        # 45^2 entries fill half a batch of _FREQ_BATCH; 46^2 do not.  A
+        # dense A keeps the LU path, and its bits, at any size.
+        calls = self._counted_solves(monkeypatch)
+        grid = np.logspace(-1, 1, 7)
+        rng = np.random.default_rng(3)
+        freq_response(_hessenberg_realization(TestFreqCore._system(rng, 45, 2, 2)), grid)
+        assert calls == []
+        dense = TestFreqCore._system(rng, 46, 2, 2)
+        H = freq_response(dense, grid)
+        assert calls == []
+        for k, w in enumerate(grid):
+            assert np.array_equal(H[k], _scalar_response(dense.A, dense.B, dense.C,
+                                                         dense.D, w))
+        freq_response(_hessenberg_realization(dense), grid)
+        assert calls == [(48, 46)] * grid.size
+
+    def test_hinf_norm_reduces_once(self, monkeypatch):
+        reductions = []
+        real = scipy.linalg.hessenberg
+
+        def counted(A, **kwargs):
+            reductions.append(A.shape)
+            return real(A, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "hessenberg", counted)
+        solves = self._counted_solves(monkeypatch)
+        sys = self._modal_system(5, 52, 2, 2, light=True)
+        val = hinf_norm(sys, tol=1e-8)
+        assert reductions == [(52, 52)]
+        assert solves and set(solves) == {(54, 52)}
+        peak = _refined_peak(sys)
+        assert val >= peak * (1.0 - 1e-8)
+        assert val == pytest.approx(peak, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [10, 50])
+    def test_singular_point_raises(self, n):
+        # Upper triangular, so already Hessenberg, with an exact zero pole.
+        rng = np.random.default_rng(n)
+        A = np.triu(rng.standard_normal((n, n)))
+        np.fill_diagonal(A, -1.0)
+        A[n // 2, n // 2] = 0.0
+        B, C, D = np.ones((n, 2)), np.ones((2, n)), np.zeros((2, 2))
+        assert numerics._banded(n) == (n == 50)
+        with pytest.raises(np.linalg.LinAlgError):
+            numerics._freq_eval(A, B, C, D, np.array([1.0, 0.0]))
 
 
 class TestHinfNorm:

@@ -44,6 +44,19 @@ class TestNetworkSpec:
         with pytest.raises(ValueError):
             NetworkSpec(2, ((0, 1, 1.0),), (1.0,) * 2, (0.1,) * 2, (0,), -1.0)
 
+    @pytest.mark.parametrize("key", ["inertia", "damping"])
+    def test_wrong_list_length_names_key(self, key):
+        lists = {"inertia": (1.0,) * 4, "damping": (0.1,) * 4, key: (0.5,) * 3}
+        edges = ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0))
+        with pytest.raises(
+            ValueError, match=f"^{key} has 3 entries, needs 1 or node_count = 4$"
+        ):
+            NetworkSpec(4, edges, lists["inertia"], lists["damping"], (0,), 1.0)
+        # One entry is shared by every node.
+        lists[key] = (0.5,)
+        spec = NetworkSpec(4, edges, lists["inertia"], lists["damping"], (0,), 1.0)
+        assert getattr(spec, key) == (0.5,) * 4
+
     def test_boundary_stiffness_substitution(self):
         spec = _two_node_spec(k_c=2.0)
         assert spec.effective_edges() == ((0, 1, 2.0, True),)

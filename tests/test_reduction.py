@@ -4,14 +4,19 @@ Gramians are checked against a Kronecker-product linear-solve oracle and a
 scalar closed form; truncation errors are checked against direct norm
 evaluation and the classical twice-the-tail bound.  The bound check is
 shown able to fail: with one Hankel value truncated the bound is tight, so
-halving the reported tail makes it FAIL.
+halving the reported tail makes it FAIL.  The balancing is computed once
+per system: counted through ``reduction.gramians``, compared bit for bit
+with an uncached copy, and shown not to keep a dropped system alive.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from retrofit_control import reduction
 from retrofit_control import (
     StateSpace,
     add,
@@ -137,3 +142,57 @@ class TestBalancedTruncate:
         err = _reduction_error(sys, red.reduced)
         # Dominant branch alone has peak gain 10; error must be tiny vs that.
         assert err < 0.05
+
+
+class _Referable(StateSpace):
+    """A ``StateSpace`` that a weak reference can point to."""
+
+    __slots__ = ("__weakref__",)
+
+
+class TestBalanceOnce:
+    def test_one_gramian_pair_for_every_order(self, monkeypatch):
+        calls = []
+        real = reduction.gramians
+
+        def counted(sys):
+            calls.append(sys)
+            return real(sys)
+
+        monkeypatch.setattr(reduction, "gramians", counted)
+        sys = _rand_stable(np.random.default_rng(11), 12, 2, 3)
+        for r in range(13):
+            balanced_truncate(sys, r)
+        assert len(calls) == 1
+
+    def test_equal_to_uncached_copy(self):
+        sys = _rand_stable(np.random.default_rng(12), 12, 3, 2)
+        cached = [balanced_truncate(sys, r) for r in range(13)]
+        for r, red in enumerate(cached):
+            # A new object is a new key, so its balancing is computed afresh.
+            ref = balanced_truncate(StateSpace(sys.A, sys.B, sys.C, sys.D), r)
+            assert red.error_bound == ref.error_bound
+            assert np.array_equal(red.hankel_values, ref.hankel_values)
+            for name in "ABCD":
+                assert np.array_equal(getattr(red.reduced, name),
+                                      getattr(ref.reduced, name))
+
+    def test_dropped_system_not_kept(self):
+        # The cache holds the last system balanced and no other: a dropped
+        # system lives until another one is truncated.
+        rng = np.random.default_rng(13)
+        first = _rand_stable(rng, 6, 2, 2)
+        sys = _Referable(first.A, first.B, first.C, first.D)
+        ref = weakref.ref(sys)
+        balanced_truncate(sys, 2)
+        del sys
+        balanced_truncate(_rand_stable(rng, 5, 1, 1), 2)
+        gc.collect()
+        assert ref() is None
+
+    def test_cached_factors_read_only(self):
+        sys = _rand_stable(np.random.default_rng(14), 5, 1, 1)
+        hv = balanced_truncate(sys, 2).hankel_values
+        with pytest.raises(ValueError):
+            hv[0] = 0.0
+        assert np.array_equal(balanced_truncate(sys, 3).hankel_values, hv)
