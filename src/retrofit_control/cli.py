@@ -162,7 +162,7 @@ def load_config(path):
     ``napx_grid`` entry that is not an integer >= 0, an ``alpha_grid`` entry
     not above 0, a ``simulate`` that is not an object with finite ``dt`` and
     ``t_final`` > 0, an ``eps``, ``gamma_tol`` or ``norm_tol`` that is not a
-    finite number > 0, a ``seed`` that is not an integer, and a ``network``
+    finite number > 0, a ``seed`` that is not an integer >= 0, and a ``network``
     that is neither ``"paper-benchmark"`` nor an object with exactly the
     keys a custom network is read from, each of the right type (its numbers
     finite), that builds and partitions; each error names the key.
@@ -194,8 +194,8 @@ def load_config(path):
     for key, value in positive.items():
         if not (_is_number(value) and value > 0):
             raise ValueError(f"{key} must be a number > 0, got {value!r}")
-    if not _is_int(cfg["seed"]):
-        raise ValueError(f"seed must be an integer, got {cfg['seed']!r}")
+    if not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
     _check_network(cfg)
     return cfg
 
@@ -451,10 +451,9 @@ def main(argv=None):
             value = getattr(args, flag)
             if not (_is_number(value) and ok(value)):
                 raise ValueError(f"argument --{flag}: must be {form}, got {value!r}")
-        if args.command == "verify" and args.fuzz_count < 0:
-            raise ValueError(
-                f"argument --fuzz-count: must be an integer >= 0, got {args.fuzz_count}"
-            )
+        for flag in ("fuzz-count", "seed") if args.command == "verify" else ():
+            if (value := getattr(args, flag.replace("-", "_"))) is not None and value < 0:
+                raise ValueError(f"argument --{flag}: must be an integer >= 0, got {value}")
         cfg = load_config(args.config)
         if args.command == "sweep":
             workers = _thread_count()

@@ -6,6 +6,7 @@ L-infinity error bound.  A system is balanced once; truncating it again,
 at any order, reuses that balancing.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,6 @@ __all__ = ["BalancedReduction", "gramians", "balanced_truncate"]
 # Hankel values below this relative threshold are dropped unconditionally to
 # avoid ill-conditioned balancing transforms.
 _HANKEL_FLOOR = 1e-12
-
-# The last system balanced and its factors, ``(sys, (Lc, Lo, U, hsv, Vt))``.
-_last_balancing = (None, None)
 
 
 @dataclass(frozen=True)
@@ -57,6 +55,7 @@ def _psd_factor(W):
     return vecs * np.sqrt(vals)
 
 
+@functools.lru_cache(maxsize=1)
 def _balancing(sys):
     """Square-root balancing of ``sys``: ``(Lc, Lo, U, hsv, Vt)``.
 
@@ -64,13 +63,9 @@ def _balancing(sys):
     ``Lo^T Lc = U diag(hsv) Vt`` yields the Hankel values and the
     balancing projection of every order (Laub, Heath, Paige & Ward 1987).
     The last system balanced is kept with its factors, so truncating it
-    again at any order reuses them; ``StateSpace`` is immutable, so its
-    identity is the key.  At most that one system is held.
+    again at any order reuses them; ``StateSpace`` is immutable and hashes
+    by identity, the key.  At most that one system is held.
     """
-    global _last_balancing
-    held, factors = _last_balancing
-    if held is sys:
-        return factors
     Wc, Wo = gramians(sys)
     Lc = _psd_factor(Wc)
     Lo = _psd_factor(Wo)
@@ -78,7 +73,6 @@ def _balancing(sys):
     factors = Lc, Lo, U, hsv[: min(Lc.shape[1], Lo.shape[1])], Vt
     for M in factors:
         M.flags.writeable = False  # shared by every truncation of sys
-    _last_balancing = sys, factors
     return factors
 
 

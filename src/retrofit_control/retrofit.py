@@ -45,8 +45,7 @@ __all__ = [
 STABILITY_TOL = -1e-9
 
 
-# Log-spaced frequency grid covering the benchmark dynamics, on which the
-# invariance and kernel residuals are evaluated.
+# The invariance residual's log-spaced grid, covering the benchmark dynamics.
 _GRID = np.logspace(-3.0, 3.0, 200)
 _GRID.flags.writeable = False
 
@@ -321,7 +320,8 @@ def closed_loop_direct(G, env, K):
     as the result of :func:`compose_retrofit` or :func:`direct_controller`.
     The returned system keeps the full closed-loop state, hidden modes
     included: take a stability verdict with :func:`deflated_abscissa`, and
-    deflate with :func:`lti.minreal` before a norm query.
+    deflate with :func:`lti.minreal` before a norm query.  The state is
+    ``(x, x_env)`` then ``K``'s, ``(x_hat, x_apx, x_mod)`` for a retrofit ``K``.
     """
     plantE = _plant_with_env(G, env)
     nz, nd, nu = G.S.shape[0], G.W.shape[1], G.B.shape[1]
@@ -361,9 +361,10 @@ def cascade_realization(G, env, apx, module):
     upstream state through the modeling-error coupling, with output
     ``z_check``; ``z = z_hat + z_check``.  The state is the upstream states
     ``(xi_hat, x_apx, x_mod)`` followed by the downstream states
-    ``(xi_check, x_env)``.  The module is not checked here:
-    :func:`compose_retrofit` refuses one that does not stabilize the design
-    plant.
+    ``(xi_check, x_env)``, with ``xi_hat = x - x_hat`` and ``xi_check = x_hat``
+    in the direct loop's state, as the cascade check relies on.  The module is
+    not checked here: :func:`compose_retrofit` refuses one that does not
+    stabilize the design plant.
     """
     upstream = _design_loop(G, apx, module)
     plantE = _plant_with_env(G, env)
@@ -439,15 +440,24 @@ def invariance_residual(G, K):
 
 
 def kernel_residual(G, rect):
-    """Max over the grid of ``||(XR)(jw) G_(y,w,v)v(jw)||``.
+    """Exact certificate of the kernel identity; 0 for a correct rectifier.
 
-    ``rect`` is a ``(y, w, v) -> (y_hat, w_hat)`` rectifier of ``G``.  The
-    rectifier annihilates every environment-induced component of the
-    measurements, so this is zero for any correctly built rectifier.
+    In ``G``'s ``v -> (y, w, v)`` map in series with ``rect``, state
+    ``(x, x_hat, x_apx)``, ``e = x - x_hat``: the largest entry of the
+    ``(e, x_apx)`` rows of B, of ``C [I; I; 0]`` (output along ``x_hat``), of
+    the ``x_hat`` to ``(e, x_apx)`` coupling and of D, over the series' largest.
     """
-    gy = select(_measured(G), cols=np.arange(G.L.shape[1]))
-    val = freq_response(rect, _GRID) @ freq_response(gy, _GRID)
-    return float(np.max(np.linalg.svd(val, compute_uv=False)[:, 0]))
+    loop = series(select(_measured(G), cols=np.arange(G.L.shape[1])), rect)
+    x, x_hat, x_apx = np.split(np.eye(loop.n_states), [G.A.shape[0], 2 * G.A.shape[0]])
+    up, along = np.vstack([x - x_hat, x_apx]), (x + x_hat).T
+    gaps = (up @ loop.B, loop.C @ along, up @ loop.A @ along, loop.D)
+    return _entry_ratio(gaps, (loop.A, loop.B, loop.C, loop.D))
+
+
+def _entry_ratio(gaps, mats):
+    """Largest absolute entry of ``gaps`` over the largest of ``mats``."""
+    big = [max(np.abs(M).max(initial=0.0) for M in Ms) for Ms in (gaps, mats)]
+    return float(big[0] / max(big[1], 1e-300))
 
 
 def performance_bounds(G, env, apx, module, norm_tol=1e-8):

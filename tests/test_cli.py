@@ -241,6 +241,7 @@ class TestSweep:
                  "channels": {**_network_object(2)["channels"], "actuated": [1, 30]}},
                 "network: actuated nodes must lie inside the subsystem",
             ),
+            ("seed", -1, "seed"),
         ],
     )
     def test_scalar_values_rejected(self, tmp_path, key, value, match):
@@ -462,6 +463,23 @@ class TestVerify:
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert line.startswith("retrofit-ctl: error: argument --fuzz-count: ")
+        assert not out.exists()
+
+    def test_negative_seed_rejected(self, tmp_path):
+        # The flag and the config key are refused alike, before numpy's
+        # generator sees the seed and before any output directory is made.
+        out = tmp_path / "o"
+        proc = _run("verify", "--seed", "-1", "--out", str(out), check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("retrofit-ctl: error: argument --seed: ")
+        assert not out.exists()
+        cfg = _write_cfg(tmp_path / "cfg.json", seed=-1)
+        proc = _run("sweep", "--config", str(cfg), "--out", str(out), check=False)
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("retrofit-ctl: error: seed must be an integer >= 0")
         assert not out.exists()
 
     def test_zero_fuzz_count_runs_matrix_identities_only(self, tmp_path):

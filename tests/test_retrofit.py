@@ -1,9 +1,10 @@
 """Unit tests for the retrofit construction itself.
 
 The rectifier is checked against a pointwise transfer-function oracle
-derived from its defining equations, the kernel and invariance properties
-against frequency-grid evaluation, the cascade against the direct closed
-loop, and the performance bounds against the exact-model collapse.
+derived from its defining equations, the kernel property by its exact
+state-space certificate, the invariance property against frequency-grid
+evaluation, the cascade against the direct closed loop point by point, and
+the performance bounds against the exact-model collapse.
 """
 
 import numpy as np
@@ -25,11 +26,9 @@ from retrofit_control import (
     direct_controller,
     extended_rectifier,
     freq_response,
-    hinf_norm,
     invariance_residual,
     kernel_residual,
     lqg_module,
-    minreal,
     new_subsystem,
     paper_benchmark,
     partition,
@@ -37,7 +36,6 @@ from retrofit_control import (
     select,
     spectral_abscissa,
 )
-from retrofit_control import add, negate
 from retrofit_control.verification import (
     random_admissible_env,
     random_apx,
@@ -387,9 +385,11 @@ class TestCascade:
             direct = closed_loop_direct(G, env, compose_retrofit(G, apx, module))
             casc = cascade_realization(G, env, apx, module)
             T_zd = select(casc, np.arange(G.S.shape[0]))
-            gap = hinf_norm(minreal(add(direct, negate(T_zd))))
-            ref = hinf_norm(minreal(direct))
-            assert gap <= 1e-6 * max(ref, 1e-12)
+            # Point by point, independent of the state-space certificate.
+            for w in 10.0 ** rng.uniform(-2, 2, size=20):
+                H = freq_response(direct, w)
+                gap = np.abs(H - freq_response(T_zd, w)).max()
+                assert gap < 1e-9 * max(1.0, np.abs(H).max())
 
     def test_tap_identity(self):
         # z = z_hat + z_check as transfer functions.

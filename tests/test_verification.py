@@ -10,8 +10,9 @@ check is also run on transfer matrices that make every loop singular,
 where it must skip each case rather than raise, and then fail, since it
 evaluated nothing.  The bound-sandwich check is also run against reports
 of an unstable loop, where it must stop at the first case and count only
-that one.  The cascade check also runs on two seeds that sample a gain
-tie at zero frequency inside the H-infinity norm, where it must pass.
+that one.  The cascade check must also resolve a relative perturbation of
+1e-9 in its coupling block and still pass, and must fail on a cascade with
+the same transfer matrix whose downstream states are swapped.
 """
 
 import dataclasses
@@ -37,16 +38,28 @@ N_CASES = 3
 N_ENV = 10
 
 
-def _scaled_coupling(casc, n_dn):
-    """The cascade with its block ``B_dn`` scaled by 1.5.
+def _scaled_coupling(casc, n_dn, factor=1.5):
+    """The cascade with its block ``B_dn`` scaled by ``factor``.
 
     That block, below the upstream states and left of the last ``n_dn``
     (downstream) states, couples the upstream state into the downstream
     dynamics, so the mutant reaches the ``z`` rows too.
     """
     A = np.array(casc.A)
-    A[-n_dn:, :-n_dn] *= 1.5
+    A[-n_dn:, :-n_dn] *= factor
     return StateSpace(A, casc.B, casc.C, casc.D)
+
+
+def _swapped_downstream(casc, n_dn):
+    """The cascade with its first two downstream states swapped.
+
+    A permutation similarity: the transfer matrix is unchanged, only the
+    state order differs from the one the certificate is stated in.
+    """
+    order = np.arange(casc.n_states)
+    i = casc.n_states - n_dn
+    order[[i, i + 1]] = order[[i + 1, i]]
+    return StateSpace(casc.A[np.ix_(order, order)], casc.B[order], casc.C[:, order], casc.D)
 
 
 class TestKernelIdentity:
@@ -88,9 +101,10 @@ class TestCascadeEquivalence:
 
     @pytest.mark.parametrize("seed", [10, 70])
     def test_passes_on_gain_tie_at_zero_frequency(self, seed):
-        # These seeds sample a system whose best probe gain, at w = 0, ties
-        # with its only neighbour, so the witness refinement starts from
-        # two points.
+        # These seeds once sampled a cascade gap whose H-infinity norm had a
+        # gain tie at w = 0.  The check takes no norm now;
+        # tests/test_numerics.py::test_gain_tie_at_zero_frequency covers the
+        # tie.
         assert check_cascade_equivalence(seed=seed).passed
 
     def test_fails_on_perturbed_coupling(self, monkeypatch):
@@ -98,6 +112,35 @@ class TestCascadeEquivalence:
         monkeypatch.setattr(
             verification, "cascade_realization",
             lambda G, env, apx, module: _scaled_coupling(
+                real(G, env, apx, module), G.A.shape[0] + env.n_states
+            ),
+        )
+        res = check_cascade_equivalence(seed=0, n_cases=N_CASES)
+        assert not res.passed
+        assert res.worst > 1e3 * res.tol
+
+    def test_resolves_relative_perturbation_of_coupling(self, monkeypatch):
+        # B_dn scaled by 1 + 1e-9: the certificate reads the perturbation
+        # at its size, far below the tolerance, where a norm of the
+        # minimal difference system reads roundoff.
+        real = verification.cascade_realization
+        monkeypatch.setattr(
+            verification, "cascade_realization",
+            lambda G, env, apx, module: _scaled_coupling(
+                real(G, env, apx, module), G.A.shape[0] + env.n_states, 1 + 1e-9
+            ),
+        )
+        res = check_cascade_equivalence(seed=0, n_cases=N_CASES)
+        assert res.passed
+        assert 0.5e-9 <= res.worst <= 2e-9
+
+    def test_fails_on_same_transfer_matrix_in_another_state_order(self, monkeypatch):
+        # The contract is the paper's change of coordinates, not only the
+        # transfer matrix: a permutation similarity of the cascade fails.
+        real = verification.cascade_realization
+        monkeypatch.setattr(
+            verification, "cascade_realization",
+            lambda G, env, apx, module: _swapped_downstream(
                 real(G, env, apx, module), G.A.shape[0] + env.n_states
             ),
         )
