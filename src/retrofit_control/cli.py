@@ -454,6 +454,13 @@ def main(argv=None):
         for flag in ("fuzz-count", "seed") if args.command == "verify" else ():
             if (value := getattr(args, flag.replace("-", "_"))) is not None and value < 0:
                 raise ValueError(f"argument --{flag}: must be an integer >= 0, got {value}")
+        if not args.out:
+            raise ValueError("argument --out: must not be empty")
+        out = os.path.abspath(args.out)  # its nearest existing ancestor
+        while not os.path.lexists(out):
+            out = os.path.dirname(out)
+        if not os.path.isdir(out):
+            raise ValueError(f"argument --out: {out} is not a directory")
         cfg = load_config(args.config)
         if args.command == "sweep":
             workers = _thread_count()

@@ -487,3 +487,36 @@ class TestVerify:
             "verify", "--fuzz-count", "0", "--seed", "0", "--out", str(tmp_path),
         )
         assert proc.stdout.splitlines()[-1] == "all 1 checks passed"
+
+
+@pytest.mark.parametrize("kind", ["file", "below a file", "empty"])
+@pytest.mark.parametrize("command", ["sweep", "simulate", "verify"])
+def test_bad_out_refused(tmp_path, capsys, monkeypatch, command, kind):
+    # An --out that is a regular file, a path below one, or empty is one
+    # error line and exit 2, before any network is built or any check runs.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "build_network", no_work)
+    monkeypatch.setattr(cli, "run_all_checks", no_work)
+    blocker = tmp_path / "f"
+    blocker.write_text("")
+    cfg = str(_write_cfg(tmp_path / "cfg.json"))
+    flags = {
+        "sweep": ["--config", cfg],
+        "simulate": ["--config", cfg, "--kc", "10", "--napx", "8", "--alpha", "0.2"],
+        "verify": ["--fuzz-count", "0"],
+    }[command]
+    out, reason = {
+        "file": (blocker, f"{blocker} is not a directory"),
+        "below a file": (blocker / "sub", f"{blocker} is not a directory"),
+        "empty": ("", "must not be empty"),
+    }[kind]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == f"retrofit-ctl: error: argument --out: {reason}"
+    assert blocker.read_text() == ""

@@ -1,11 +1,14 @@
 """Unit tests for the retrofit construction itself.
 
 The rectifier is checked against a pointwise transfer-function oracle
-derived from its defining equations, the kernel property by its exact
-state-space certificate, the invariance property against frequency-grid
-evaluation, the cascade against the direct closed loop point by point, and
-the performance bounds against the exact-model collapse.
+derived from its defining equations, the kernel and invariance properties
+by their exact state-space certificates (invariance also against the loop
+equations solved point by point), the cascade against the direct closed
+loop point by point, and the performance bounds against the exact-model
+collapse.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from retrofit_control import (
     partition,
     performance_bounds,
     select,
+    series,
     spectral_abscissa,
 )
 from retrofit_control.verification import (
@@ -91,6 +95,27 @@ def _rectifier_oracle(G, apx, w):
     T[ny:, ny:ny + nw] += -G.Gamma @ x_from_w
     T[ny:, ny + nw:] = -G.Gamma @ x_from_v
     return T
+
+
+def _closed_vw_gap(G, K, ws):
+    """Largest relative gap of the ``K``-closed ``v -> w`` map from the open one.
+
+    At each frequency the loop equations ``u = K(y, w, v)`` are solved for
+    the ``v -> u`` map, which closes the plant's ``(v, u) -> (y, w)`` map.
+    """
+    ny, nv = G.C.shape[0], G.L.shape[1]
+    nyw = ny + G.Gamma.shape[0]
+    plant = StateSpace(G.A, np.hstack([G.L, G.B]), np.vstack([G.C, G.Gamma]))
+    worst = 0.0
+    for w in ws:
+        P, H = freq_response(plant, w), freq_response(K, w)
+        P_v, P_u = P[:, :nv], P[:, nv:]
+        U = np.linalg.solve(
+            np.eye(P_u.shape[1]) - H[:, :nyw] @ P_u, H[:, :nyw] @ P_v + H[:, nyw:]
+        )
+        gap = np.abs((P_u @ U)[ny:]).max() / np.abs(P_v[ny:]).max()
+        worst = max(worst, gap)
+    return worst
 
 
 class TestPartitionedPlant:
@@ -279,6 +304,38 @@ class TestRetrofitComposition:
         module = lqg_module(new_subsystem(G, apx))
         K_direct = direct_controller(G, module)
         assert invariance_residual(G, K_direct) > 1e-3
+
+    def test_mutant_rectifier_breaks_invariance(self):
+        # The rectifier's subsystem copy has L scaled by 1.5.
+        G, rng = _plant(seed=9)
+        apx = random_apx(rng, G)
+        module = lqg_module(new_subsystem(G, apx))
+        G_mut = dataclasses.replace(G, L=1.5 * G.L)
+        K = series(extended_rectifier(G_mut, apx), module)
+        assert invariance_residual(G, K) > 1e-3
+
+    def test_closed_map_matches_open_map(self):
+        # Oracle independent of the certificate, checked able to fail on the
+        # L x 1.5 mutant.
+        G, rng = _plant(seed=12)
+        apx = random_apx(rng, G)
+        module = lqg_module(new_subsystem(G, apx))
+        G_mut = dataclasses.replace(G, L=1.5 * G.L)
+        ws = 10.0 ** rng.uniform(-2, 2, size=20)
+        assert _closed_vw_gap(G, compose_retrofit(G, apx, module), ws) < 1e-9
+        K_mut = series(extended_rectifier(G_mut, apx), module)
+        assert _closed_vw_gap(G, K_mut, ws) > 1e-3
+
+    def test_too_few_controller_states_refused(self):
+        G, _ = _plant(seed=13)
+        nu, nv = G.B.shape[1], G.L.shape[1]
+        n_meas = G.C.shape[0] + G.Gamma.shape[0] + nv
+        K = StateSpace(-np.eye(2), np.ones((2, n_meas)), np.ones((nu, 2)))
+        with pytest.raises(
+            ValueError,
+            match=f"controller has 2 states, fewer than the plant's {G.A.shape[0]}",
+        ):
+            invariance_residual(G, K)
 
     def test_static_module_realization(self):
         G, rng = _plant(seed=10)
