@@ -43,8 +43,8 @@ def main():
     # The defining property: the environment-induced component of the
     # measurements is annihilated, for any environment whatsoever.
     res = kernel_residual(G, rect)
-    print(f"kernel certificate (relative largest entry of the blocks "
-          f"that must vanish): {res:.2e}")
+    print(f"kernel certificate (largest entry of the blocks that must vanish, "
+          f"each relative to its plant block): {res:.2e}")
 
 
 if __name__ == "__main__":

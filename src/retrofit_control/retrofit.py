@@ -418,7 +418,9 @@ def invariance_residual(G, K):
     ``(x, x_hat, x_apx, x_mod)``, ``e = x - x_hat``: the largest entry of the
     ``(e, x_apx, x_mod)`` rows of B, of their coupling from ``x_hat``, of the
     ``x_hat`` block minus ``(A, L)``, of the output along ``x_hat`` minus
-    ``Gamma`` and of D, over the loop's largest; 0 for a retrofit ``K``.
+    ``Gamma`` and of D, each over the largest entry of the plant block it is
+    compared with (``A``, ``L``, ``Gamma``, and ``max|Gamma| max|L|`` for D);
+    0 for a retrofit ``K``.
     """
     n, nv, nu = G.A.shape[0], G.L.shape[1], G.B.shape[1]
     if K.n_states < n:
@@ -427,9 +429,11 @@ def invariance_residual(G, K):
     closed = close_loop(meas, K, np.arange(nv, nv + nu), np.arange(meas.n_outputs))
     loop = select(closed, np.arange(ny, ny + nw), np.arange(nv))
     up, x_hat, along = _error_coordinates(loop.n_states, n)
-    gaps = (up @ loop.B, up @ loop.A @ along, x_hat @ loop.A @ along - G.A,
-            x_hat @ loop.B - G.L, loop.C @ along - G.Gamma, loop.D)
-    return _entry_ratio(gaps, (loop.A, loop.B, loop.C, loop.D))
+    pairs = ((up @ loop.B, G.L), (up @ loop.A @ along, G.A),
+             (x_hat @ loop.A @ along - G.A, G.A), (x_hat @ loop.B - G.L, G.L),
+             (loop.C @ along - G.Gamma, G.Gamma),
+             (loop.D, _largest(G.Gamma) * _largest(G.L)))
+    return _entry_ratio(pairs, (loop.A, loop.B, loop.C, loop.D))
 
 
 def kernel_residual(G, rect):
@@ -438,18 +442,34 @@ def kernel_residual(G, rect):
     In ``G``'s ``v -> (y, w, v)`` map in series with ``rect``, state
     ``(x, x_hat, x_apx)``, ``e = x - x_hat``: the largest entry of the
     ``(e, x_apx)`` rows of B, of ``C [I; I; 0]`` (output along ``x_hat``), of
-    the ``x_hat`` to ``(e, x_apx)`` coupling and of D, over the series' largest.
+    the ``x_hat`` to ``(e, x_apx)`` coupling and of D, each over the largest
+    entry of the plant block it is compared with (``L``, ``[C; Gamma]``,
+    ``A``, and ``max|[C; Gamma]| max|L|`` for D).
     """
     loop = series(select(_measured(G), cols=np.arange(G.L.shape[1])), rect)
     up, _, along = _error_coordinates(loop.n_states, G.A.shape[0])
-    gaps = (up @ loop.B, loop.C @ along, up @ loop.A @ along, loop.D)
-    return _entry_ratio(gaps, (loop.A, loop.B, loop.C, loop.D))
+    outputs = np.vstack([G.C, G.Gamma])
+    pairs = ((up @ loop.B, G.L), (loop.C @ along, outputs), (up @ loop.A @ along, G.A),
+             (loop.D, _largest(outputs) * _largest(G.L)))
+    return _entry_ratio(pairs, (loop.A, loop.B, loop.C, loop.D))
 
 
-def _entry_ratio(gaps, mats):
-    """Largest absolute entry of ``gaps`` over the largest of ``mats``."""
-    big = [max(np.abs(M).max(initial=0.0) for M in Ms) for Ms in (gaps, mats)]
-    return float(big[0] / max(big[1], 1e-300))
+def _largest(M):
+    """Largest absolute entry of ``M``; 0 when it has none."""
+    return np.abs(M).max(initial=0.0)
+
+
+def _entry_ratio(pairs, mats):
+    """Largest ratio of a gap's largest entry to its reference's.
+
+    ``pairs`` holds ``(gap, reference)`` pairs; a reference that is
+    identically zero is replaced by the largest entry of ``mats``, the
+    realization the gaps come from.
+    """
+    fallback = max(_largest(M) for M in mats)
+    return float(max(
+        _largest(gap) / max(_largest(ref) or fallback, 1e-300) for gap, ref in pairs
+    ))
 
 
 def performance_bounds(G, env, apx, module, norm_tol=1e-8):

@@ -116,10 +116,8 @@ def hinf_synthesize(design_plant, alpha, eps=DEFAULT_NOISE_SCALE, gamma_tol=1e-3
     ``design_plant`` is a partitioned plant, typically the subsystem closed
     with its approximate environment model (``new_subsystem(G, apx)``); its
     modeling-error channel ``v`` is left open and ignored.  The generalized
-    plant has exogenous inputs ``(d, noise)`` and control ``u``; its
-    performance rows stack the evaluation output ``z`` with the control
-    effort weighted by ``alpha``, and its measurement rows are ``(y, w)``
-    plus the noise scaled by ``eps``.  Both weights must be positive.
+    plant is the one the module docstring describes; ``alpha`` and ``eps``
+    must be positive.
 
     Bisects the attenuation level using the two-Riccati solvability test
     and returns ``(K, gamma)``: the central controller at the last feasible

@@ -17,12 +17,10 @@ import pytest
 
 from retrofit_control import (
     StateSpace,
-    add,
     balanced_truncate,
     hinf_norm,
     lqg_module,
     minreal,
-    negate,
     new_subsystem,
     performance_bounds,
     solve_care,

@@ -482,11 +482,18 @@ class TestVerify:
         assert line.startswith("retrofit-ctl: error: seed must be an integer >= 0")
         assert not out.exists()
 
-    def test_zero_fuzz_count_runs_matrix_identities_only(self, tmp_path):
+    def test_zero_fuzz_count_skips_robust_stability_only(self, tmp_path):
+        # The count sizes the robust-stability check alone, so 0 skips it
+        # and runs the other three.
         proc = _run(
             "verify", "--fuzz-count", "0", "--seed", "0", "--out", str(tmp_path),
         )
-        assert proc.stdout.splitlines()[-1] == "all 1 checks passed"
+        lines = proc.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            "PASS  kernel identity", "PASS  cascade equivalence", "PASS  bound sandwich",
+        ]
+        assert "robust stability" not in proc.stdout
+        assert lines[-1] == "all 3 checks passed"
 
 
 @pytest.mark.parametrize("kind", ["file", "below a file", "empty"])

@@ -249,6 +249,13 @@ class TestExtendedRectifier:
         broken = StateSpace(rect.A, rect.B, rect.C, -rect.D)
         assert kernel_residual(G, broken) > 1e-3
 
+    def test_kernel_reads_relative_defect_on_preset_design(self, preset_design):
+        # The rectifier's copy has L scaled by 1.001: the e rows of B are
+        # -1e-3 L, read against L and not against the design's largest entry.
+        G, _, apx, _ = preset_design
+        rect = extended_rectifier(dataclasses.replace(G, L=1.001 * G.L), apx)
+        assert kernel_residual(G, rect) == pytest.approx(1e-3, rel=1e-2)
+
 
 class TestAdmissibility:
     def test_true_environment_admissible(self):
@@ -313,6 +320,14 @@ class TestRetrofitComposition:
         G_mut = dataclasses.replace(G, L=1.5 * G.L)
         K = series(extended_rectifier(G_mut, apx), module)
         assert invariance_residual(G, K) > 1e-3
+
+    def test_invariance_reads_relative_defect_on_preset_design(self, preset_design):
+        # The module's entries reach 1e4, L's about 1: an L x 1.001 rectifier
+        # reads 1e-3, where a ratio to the loop's largest entry read 1e-7.
+        G, _, apx, module = preset_design
+        rect = extended_rectifier(dataclasses.replace(G, L=1.001 * G.L), apx)
+        residual = invariance_residual(G, series(rect, module))
+        assert residual == pytest.approx(1e-3, rel=1e-2)
 
     def test_closed_map_matches_open_map(self):
         # Oracle independent of the certificate, checked able to fail on the

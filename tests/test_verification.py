@@ -5,14 +5,14 @@ mutant of the quantity it guards, patched in from the test, where it must
 fail.  The mutants: the rectifier with the sign of its feedthrough
 flipped, the cascade's downstream coupling block scaled, a performance
 report without its gap term, and the module implemented directly, without
-the rectifier, in place of the retrofit controller.  The matrix-identity
-check is also run on transfer matrices that make every loop singular,
-where it must skip each case rather than raise, and then fail, since it
-evaluated nothing.  The bound-sandwich check is also run against reports
-of an unstable loop, where it must stop at the first case and count only
-that one.  The cascade check must also resolve a relative perturbation of
-1e-9 in its coupling block and still pass, and must fail on a cascade with
-the same transfer matrix whose downstream states are swapped.
+the rectifier, in place of the retrofit controller.  The bound-sandwich
+check is also run against reports of an unstable loop, where it must stop
+at the first case and count only that one, and on no case, where it must
+fail.  The cascade check must also resolve a relative perturbation of
+1e-9 in its coupling block and still pass, must fail on a cascade with
+the same transfer matrix whose downstream states are swapped, and must
+fail on a 1e-3 relative perturbation of that block on the preset design,
+whose module gains dwarf the block.
 """
 
 import dataclasses
@@ -30,7 +30,6 @@ from retrofit_control.verification import (
     check_bound_sandwich,
     check_cascade_equivalence,
     check_kernel_identity,
-    check_matrix_identities,
     check_robust_stability,
 )
 
@@ -79,22 +78,6 @@ class TestKernelIdentity:
         assert res.worst > 1e3 * res.tol
 
 
-class TestMatrixIdentities:
-    def test_singular_loop_skipped(self, monkeypatch):
-        # Identity responses make I - PK zero: every case must be skipped,
-        # none inverted, and none counted; a check that evaluated nothing
-        # fails.
-        monkeypatch.setattr(
-            verification, "freq_response",
-            lambda sys, w: np.eye(sys.n_outputs, sys.n_inputs),
-        )
-        res = check_matrix_identities(seed=0)
-        assert res.cases == 0
-        assert res.worst == 0.0
-        assert not res.passed
-        assert res.line().startswith("FAIL")
-
-
 class TestCascadeEquivalence:
     def test_passes(self):
         assert check_cascade_equivalence(seed=0, n_cases=N_CASES).passed
@@ -134,6 +117,27 @@ class TestCascadeEquivalence:
         assert res.passed
         assert 0.5e-9 <= res.worst <= 2e-9
 
+    def test_fails_on_relative_perturbation_of_coupling_on_preset_design(
+        self, monkeypatch, preset_design
+    ):
+        # B_dn scaled by 1 + 1e-3 on a design whose module entries reach
+        # 1e4: the gap is measured against B_dn itself, so it reads
+        # 1e-3 / (1 + 1e-3) instead of vanishing under the module's scale.
+        monkeypatch.setattr(
+            verification, "_designs", lambda seed, n_cases: iter([preset_design])
+        )
+        assert check_cascade_equivalence().passed
+        real = verification.cascade_realization
+        monkeypatch.setattr(
+            verification, "cascade_realization",
+            lambda G, env, apx, module: _scaled_coupling(
+                real(G, env, apx, module), G.A.shape[0] + env.n_states, 1 + 1e-3
+            ),
+        )
+        res = check_cascade_equivalence()
+        assert not res.passed
+        assert res.worst == pytest.approx(1e-3 / (1 + 1e-3), rel=1e-6)
+
     def test_fails_on_same_transfer_matrix_in_another_state_order(self, monkeypatch):
         # The contract is the paper's change of coordinates, not only the
         # transfer matrix: a permutation similarity of the cascade fails.
@@ -172,6 +176,11 @@ class TestBoundSandwich:
         assert not res.passed
         assert res.cases == 1
         assert "over 1 cases" in res.line()
+        # A check that evaluated no case fails.
+        res = check_bound_sandwich(seed=0, n_cases=0)
+        assert not res.passed
+        assert res.cases == 0
+        assert res.detail == "no case evaluated"
 
 
 class TestRobustStability:
