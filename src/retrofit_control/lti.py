@@ -9,7 +9,7 @@ instances are immutable after construction.
 import numpy as np
 import scipy.linalg
 
-from .numerics import _freq_eval, expm
+from .numerics import _block, _freq_eval, expm
 
 __all__ = [
     "StateSpace",
@@ -57,7 +57,7 @@ class StateSpace:
                 f"D has shape {D.shape}, expected {(C.shape[0], B.shape[1])}"
             )
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
-            if M.size and not np.all(np.isfinite(M)):
+            if not np.isfinite(M).all():
                 raise ValueError(f"{name} contains non-finite entries")
             M.flags.writeable = False
         object.__setattr__(self, "A", A)
@@ -100,10 +100,19 @@ class StateSpace:
         )
 
 
-def _indices(spec, limit, what):
-    idx = np.asarray(spec, dtype=int).ravel()
-    if idx.size and (idx.min() < 0 or idx.max() >= limit):
-        raise ValueError(f"{what} indices {idx} out of range [0, {limit})")
+def _indices(spec, limit, name):
+    """``spec`` as a flat integer index array into ``range(limit)``.
+
+    A boolean mask or a float is refused rather than read as positions;
+    an empty spec is accepted whatever its dtype.
+    """
+    idx = np.asarray(spec).ravel()
+    if not idx.size:
+        return idx.astype(int)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer indices, got dtype {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= limit:
+        raise ValueError(f"{name} indices {idx} out of range [0, {limit})")
     return idx
 
 
@@ -111,10 +120,10 @@ def select(sys, rows=None, cols=None):
     """Subsystem keeping the output ``rows`` and input ``cols`` (all when ``None``)."""
     B, C, D = sys.B, sys.C, sys.D
     if rows is not None:
-        rows = _indices(rows, sys.n_outputs, "output")
+        rows = _indices(rows, sys.n_outputs, "rows")
         C, D = C[rows, :], D[rows, :]
     if cols is not None:
-        cols = _indices(cols, sys.n_inputs, "input")
+        cols = _indices(cols, sys.n_inputs, "cols")
         B, D = B[:, cols], D[:, cols]
     return StateSpace(sys.A, B, C, D)
 
@@ -126,9 +135,7 @@ def series(g1, g2):
             f"series: g1 has {g1.n_outputs} outputs, g2 expects {g2.n_inputs} inputs"
         )
     n1, n2 = g1.n_states, g2.n_states
-    A = np.block(
-        [[g1.A, np.zeros((n1, n2))], [g2.B @ g1.C, g2.A]]
-    ) if n1 + n2 else np.zeros((0, 0))
+    A = _block([[g1.A, np.zeros((n1, n2))], [g2.B @ g1.C, g2.A]])
     B = np.vstack([g1.B, g2.B @ g1.D])
     C = np.hstack([g2.D @ g1.C, g2.C])
     D = g2.D @ g1.D
@@ -158,9 +165,10 @@ def close_loop(sys, ctrl, in_idx, out_idx):
     stacked over the controller state.  Raises on an algebraic loop
     (singular ``I - D_loop D_ctrl``).
     """
-    in_idx = _indices(in_idx, sys.n_inputs, "loop input")
-    out_idx = _indices(out_idx, sys.n_outputs, "loop output")
-    other = np.delete(np.arange(sys.n_inputs), in_idx)
+    in_idx = _indices(in_idx, sys.n_inputs, "in_idx")
+    out_idx = _indices(out_idx, sys.n_outputs, "out_idx")
+    other = np.ones(sys.n_inputs, dtype=bool)
+    other[in_idx] = False
     if ctrl.n_inputs != len(out_idx) or ctrl.n_outputs != len(in_idx):
         raise ValueError(
             f"controller maps {ctrl.n_inputs} -> {ctrl.n_outputs}, loop needs "
@@ -169,9 +177,8 @@ def close_loop(sys, ctrl, in_idx, out_idx):
 
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     Bl, Bo = B[:, in_idx], B[:, other]
-    Cs = C[out_idx, :]
-    Dsl = D[np.ix_(out_idx, in_idx)]
-    Dso = D[np.ix_(out_idx, other)]
+    Cs, Ds = C[out_idx], D[out_idx]
+    Dsl, Dso = Ds[:, in_idx], Ds[:, other]
     Ak, Bk, Ck, Dk = ctrl.A, ctrl.B, ctrl.C, ctrl.D
 
     M = np.eye(len(out_idx)) - Dsl @ Dk
@@ -179,22 +186,20 @@ def close_loop(sys, ctrl, in_idx, out_idx):
         raise ValueError("algebraic loop: I - D_loop D_ctrl is singular")
     Mi = np.linalg.inv(M)
 
-    # y_s = Mi (Cs x + Dsl Ck xk + Dso u_o); u_l = Ck xk + Dk y_s
-    n, nk = sys.n_states, ctrl.n_states
-    A_cl = np.block(
-        [
-            [A + Bl @ Dk @ Mi @ Cs, Bl @ (Ck + Dk @ Mi @ Dsl @ Ck)],
-            [Bk @ Mi @ Cs, Ak + Bk @ Mi @ Dsl @ Ck],
-        ]
-    ) if n + nk else np.zeros((0, 0))
-    B_cl = np.vstack([Bo + Bl @ Dk @ Mi @ Dso, Bk @ Mi @ Dso])
+    # y_s = Mi (Cs x + Dsl Ck xk + Dso u_o); u_l = Ck xk + Dk y_s.  Shared
+    # products are formed once; every chain associates left to right
+    # (Bl Dk Mi is (Bl Dk) Mi, not Bl (Dk Mi)), which fixes the rounding.
+    DkMi, BkMi = Dk @ Mi, Bk @ Mi
+    BlDkMi = Bl @ Dk @ Mi
+    Ckl = Ck + DkMi @ Dsl @ Ck
+    A_cl = _block([[A + BlDkMi @ Cs, Bl @ Ckl], [BkMi @ Cs, Ak + BkMi @ Dsl @ Ck]])
+    B_cl = np.vstack([Bo + BlDkMi @ Dso, BkMi @ Dso])
 
     # Full output map: y = C x + D_l u_l + D_o u_o with u_l resolved.
-    Dl_full = D[:, in_idx]
-    C_cl = np.hstack(
-        [C + Dl_full @ Dk @ Mi @ Cs, Dl_full @ (Ck + Dk @ Mi @ Dsl @ Ck)]
-    )
-    D_cl = D[:, other] + Dl_full @ Dk @ Mi @ Dso
+    Dl = D[:, in_idx]
+    DlDkMi = Dl @ Dk @ Mi
+    C_cl = np.hstack([C + DlDkMi @ Cs, Dl @ Ckl])
+    D_cl = D[:, other] + DlDkMi @ Dso
     return StateSpace(A_cl, B_cl, C_cl, D_cl)
 
 

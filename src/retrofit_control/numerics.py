@@ -49,9 +49,16 @@ def _as_square(A, name="A"):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError(f"{name} contains non-finite entries")
     return A
+
+
+def _block(rows):
+    """``np.block`` of a grid of 2-D arrays, bit for bit, without its
+    recursive checks: each row is joined along the columns, then the rows
+    are stacked.  Blocks that do not line up raise ``ValueError``."""
+    return np.concatenate([np.concatenate(row, axis=1) for row in rows])
 
 
 def spectral_abscissa(A):
@@ -118,7 +125,7 @@ def solve_riccati(A, S, Q):
     if n == 0:
         return np.zeros((0, 0))
 
-    H = np.block([[A, -S], [-Q, -A.T]])
+    H = _block([[A, -S], [-Q, -A.T]])
     eigs = np.linalg.eigvals(H)
     scale = max(1.0, np.max(np.abs(eigs)))
     if np.min(np.abs(eigs.real)) <= _IMAG_TOL * scale:
@@ -296,7 +303,7 @@ def _gain_above(A, B, C, D, gamma, tol):
         )
     Ri = np.linalg.inv(R)
     Ac = A + B @ Ri @ D.T @ C
-    H = np.block(
+    H = _block(
         [
             [Ac, B @ Ri @ B.T],
             [-C.T @ (np.eye(D.shape[0]) + D @ Ri @ D.T) @ C, -Ac.T],

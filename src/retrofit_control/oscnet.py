@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .lti import StateSpace
+from .numerics import _block
 from .retrofit import PartitionedPlant
 
 __all__ = [
@@ -146,7 +147,7 @@ def _laplacian(n, edges):
 def _second_order(Lm, M, D):
     """State matrix for states (theta, theta') under the given Laplacian."""
     n = Lm.shape[0]
-    return np.block(
+    return _block(
         [
             [np.zeros((n, n)), np.eye(n)],
             [-Lm / M[:, None], -np.diag(D / M)],

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .lti import StateSpace, close_loop, minreal, select, series
-from .numerics import hinf_norm, spectral_abscissa
+from .numerics import _block, hinf_norm, spectral_abscissa
 
 __all__ = [
     "PartitionedPlant",
@@ -68,7 +68,7 @@ class PartitionedPlant:
     def __post_init__(self):
         for f in fields(self):
             M = np.array(getattr(self, f.name), dtype=float, ndmin=2)
-            if M.size and not np.all(np.isfinite(M)):
+            if not np.isfinite(M).all():
                 raise ValueError(f"{f.name} contains non-finite entries")
             M.flags.writeable = False
             object.__setattr__(self, f.name, M)
@@ -105,12 +105,12 @@ def _plant_with_env(G, env):
     """States ``(x, x_env)``, inputs ``(d, u)``, outputs ``(z, y, w, v)``.
 
     The one loop closed by hand: built through ``close_loop`` it costs
-    about three times as much, and it is built for every sampled
-    environment.
+    about four times as much, and a seed's ``run_all_checks`` builds it
+    948 times.
     """
     A, B_u, L, W, Gamma, S, C = G.A, G.B, G.L, G.W, G.Gamma, G.S, G.C
     Ae, Be, Ce, De = env.A, env.B, env.C, env.D
-    n, ne = A.shape[0], Ae.shape[0]
+    ne = Ae.shape[0]
     nd, nu, nv, nw = W.shape[1], B_u.shape[1], L.shape[1], Gamma.shape[0]
     if env.n_inputs != nw or env.n_outputs != nv:
         raise ValueError(
@@ -118,11 +118,9 @@ def _plant_with_env(G, env):
             f"plant expects {nw} -> {nv}"
         )
 
-    Afull = np.block(
-        [[A + L @ De @ Gamma, L @ Ce], [Be @ Gamma, Ae]]
-    ) if n + ne else np.zeros((0, 0))
-    Bfull = np.block([[W, B_u], [np.zeros((ne, nd)), np.zeros((ne, nu))]])
-    Cfull = np.block(
+    Afull = _block([[A + L @ De @ Gamma, L @ Ce], [Be @ Gamma, Ae]])
+    Bfull = _block([[W, B_u], [np.zeros((ne, nd)), np.zeros((ne, nu))]])
+    Cfull = _block(
         [
             [S, np.zeros((S.shape[0], ne))],
             [C, np.zeros((C.shape[0], ne))],
@@ -372,18 +370,16 @@ def cascade_realization(G, env, apx, module):
     n_up, n_dn = n + na + nm, n + ne
 
     # The downstream block is driven by (xi_hat, x_apx); x_mod does not enter.
-    B_dn = np.block(
+    B_dn = _block(
         [
             [L @ (De - Da) @ Gamma, -L @ Ca, np.zeros((n, nm))],
             [Be @ Gamma, np.zeros((ne, na + nm))],
         ]
     )
-    A_all = np.block(
-        [[upstream.A, np.zeros((n_up, n_dn))], [B_dn, plantE.A]]
-    ) if n_up + n_dn else np.zeros((0, 0))
+    A_all = _block([[upstream.A, np.zeros((n_up, n_dn))], [B_dn, plantE.A]])
     B_all = np.vstack([upstream.B, np.zeros((n_dn, nd))])
     Sz_up, Sz_dn = upstream.C[:nz, :], plantE.C[:nz, :]
-    C_all = np.block(
+    C_all = _block(
         [
             [Sz_up, Sz_dn],
             [Sz_up, np.zeros((nz, n_dn))],

@@ -13,7 +13,9 @@ controller is a plain ``(y_hat, w_hat) -> u`` StateSpace.
 import numpy as np
 
 from .lti import StateSpace, close_loop, minreal, select
-from .numerics import NumericsError, hinf_norm, solve_care, solve_riccati, spectral_abscissa
+from .numerics import (
+    NumericsError, _block, hinf_norm, solve_care, solve_riccati, spectral_abscissa,
+)
 
 __all__ = ["SynthesisError", "hinf_synthesize", "lqg_module"]
 
@@ -147,7 +149,7 @@ def hinf_synthesize(design_plant, alpha, eps=DEFAULT_NOISE_SCALE, gamma_tol=1e-3
         A_true,
         np.hstack([B1, B2]),
         np.vstack([C1, C2]),
-        np.block([[np.zeros((nperf, nexo)), D12], [D21, np.zeros((nmeas, nu))]]),
+        _block([[np.zeros((nperf, nexo)), D12], [D21, np.zeros((nmeas, nu))]]),
     )
 
     A = _design_shift(A_true)

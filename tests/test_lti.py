@@ -5,6 +5,8 @@ arithmetic at random frequencies, simulation against closed-form solutions,
 and minimal realization against hand-built nonminimal systems.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from retrofit_control import (
     series,
     simulate,
 )
+from retrofit_control.numerics import _block
 
 
 def _rand_sys(rng, n, m, p, shift=2.0):
@@ -70,6 +73,21 @@ class TestStateSpace:
         sys = StateSpace([[-1.0]], [[1.0]], [[1.0]])
         assert np.array_equal(sys.D, np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["A", "B", "C", "D"])
+    def test_non_finite_entries_refused(self, name, value):
+        mats = {"A": -np.eye(2), "B": np.ones((2, 1)), "C": np.ones((1, 2)),
+                "D": np.zeros((1, 1))}
+        mats[name][-1, -1] = value
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            StateSpace(**mats)
+
+    def test_zero_size_matrices_accepted(self):
+        sys = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)), np.ones((1, 2)))
+        assert (sys.n_states, sys.n_inputs, sys.n_outputs) == (0, 2, 1)
+        sys = StateSpace(-np.eye(2), np.zeros((2, 0)), np.zeros((0, 2)))
+        assert sys.D.shape == (0, 0)
+
 
 class TestSelect:
     def test_select(self):
@@ -88,6 +106,23 @@ class TestSelect:
         sys = _rand_sys(np.random.default_rng(0), 2, 4, 3)
         with pytest.raises(ValueError, match="out of range"):
             select(sys, rows, cols)
+
+    @pytest.mark.parametrize(
+        "rows, cols, name",
+        [([False, True], None, "rows"), ([1.7], None, "rows"), (np.array([1.0]), None, "rows"),
+         (None, [True], "cols"), (None, [0, 2.5], "cols")],
+    )
+    def test_non_integer_indices_rejected(self, rows, cols, name):
+        # A mask would be read as the positions 0 and 1, a float truncated.
+        sys = StateSpace(-np.eye(2), np.eye(2), np.diag([1.0, 5.0]))
+        with pytest.raises(ValueError, match=f"^{name} must hold integer indices"):
+            select(sys, rows, cols)
+
+    def test_empty_indices_accepted(self):
+        sys = StateSpace(-np.eye(2), np.eye(2), np.diag([1.0, 5.0]))
+        sub = select(sys, rows=[], cols=np.array([], dtype=np.uint8))
+        assert (sub.n_outputs, sub.n_inputs) == (0, 0)
+        assert np.array_equal(select(sys, rows=[1]).C, [[0.0, 5.0]])
 
 
 class TestInterconnections:
@@ -143,6 +178,34 @@ class TestInterconnections:
         K = StateSpace.from_gain(np.eye(1))
         with pytest.raises(ValueError, match="algebraic loop"):
             close_loop(P, K, [0], [0])
+        # Exactly singular 2 x 2 loops, I - D_loop D_ctrl = diag(0, 1) and 0:
+        # refused as singular, with no warning from the zero singular value.
+        for D_loop in (np.diag([1.0, 0.0]), np.eye(2)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="algebraic loop"):
+                    close_loop(StateSpace.from_gain(D_loop), StateSpace.from_gain(np.eye(2)),
+                               [0, 1], [0, 1])
+
+    @pytest.mark.parametrize("cond, refused", [(1.01e12, True), (0.99e12, False)])
+    def test_algebraic_loop_threshold(self, cond, refused):
+        # I - D_loop D_ctrl = diag(1, 1 / cond): the 1e12 bound is on cond.
+        P = StateSpace.from_gain(np.diag([0.0, 1.0 - 1.0 / cond]))
+        K = StateSpace.from_gain(np.eye(2))
+        if refused:
+            with pytest.raises(ValueError, match="algebraic loop"):
+                close_loop(P, K, [0, 1], [0, 1])
+        else:
+            assert np.isfinite(close_loop(P, K, [0, 1], [0, 1]).D).all()
+
+    @pytest.mark.parametrize(
+        "in_idx, out_idx, name", [([True], [0], "in_idx"), ([0], [0.0], "out_idx")]
+    )
+    def test_close_loop_non_integer_indices_rejected(self, in_idx, out_idx, name):
+        sys = _rand_sys(np.random.default_rng(7), 2, 2, 2)
+        ctrl = StateSpace.from_gain(0.1 * np.eye(1))
+        with pytest.raises(ValueError, match=f"^{name} must hold integer indices"):
+            close_loop(sys, ctrl, in_idx, out_idx)
 
 
 def _rel_err(H, ref):
@@ -211,6 +274,28 @@ class TestInterconnectionProperties:
                 assert _rel_err(freq_response(cl, w), ref) < 1e-10 * np.linalg.cond(M)
 
         self._check(prop, n=(0, 4), nk=(0, 3), m=(1, 3), p=(1, 3))
+
+    def test_block_helper_is_np_block(self):
+        # Bit-equal to np.block on 2 x 2 and 3 x 2 grids, zero-height rows
+        # and zero-width columns included; a ragged grid raises.
+        def prop(seed, n_rows, h0, h1, h2, w0, w1):
+            rng = np.random.default_rng(seed)
+            heights, widths = (h0, h1, h2)[:n_rows], (w0, w1)
+            grid = [[rng.standard_normal((h, w)) for w in widths] for h in heights]
+            got, ref = _block(grid), np.block(grid)
+            assert np.array_equal(got, ref)
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+            i, j = rng.integers(n_rows), rng.integers(2)
+            for shape in ((heights[i] + 1, widths[j]), (heights[i], widths[j] + 1)):
+                ragged = [row[:] for row in grid]
+                ragged[i][j] = np.ones(shape)
+                with pytest.raises(ValueError):
+                    np.block(ragged)
+                with pytest.raises(ValueError):
+                    _block(ragged)
+
+        self._check(prop, n_rows=(2, 3), h0=(0, 3), h1=(0, 3), h2=(0, 3), w0=(0, 3),
+                    w1=(0, 3))
 
     def test_select_is_the_sub_block(self):
         def prop(seed, n, m, p):

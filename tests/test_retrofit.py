@@ -130,6 +130,23 @@ class TestPartitionedPlant:
         with pytest.raises(ValueError, match=f"^{name} has"):
             PartitionedPlant(**blocks)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["A", "B", "L", "W", "Gamma", "S", "C"])
+    def test_non_finite_block_refused(self, name, value):
+        G, _ = _plant(seed=0)
+        blocks = {k: np.array(getattr(G, k)) for k in ("A", "B", "L", "W", "Gamma", "S", "C")}
+        blocks[name][-1, -1] = value
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            PartitionedPlant(**blocks)
+
+    def test_zero_size_blocks_accepted(self):
+        # No d, u, v, w, z or y channel at all, and then no state either.
+        G = PartitionedPlant(-np.eye(2), *(np.zeros((2, 0)),) * 3, *(np.zeros((0, 2)),) * 3)
+        assert (G.B.shape, G.Gamma.shape) == ((2, 0), (0, 2))
+        G = PartitionedPlant(np.zeros((0, 0)), *(np.zeros((0, 1)),) * 3,
+                             *(np.zeros((1, 0)),) * 3)
+        assert G.A.shape == (0, 0)
+
     def test_blocks_read_only(self):
         G, _ = _plant(seed=0)
         with pytest.raises(ValueError):
