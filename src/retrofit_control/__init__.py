@@ -45,7 +45,6 @@ from .retrofit import (
     check_admissible,
     closed_loop_direct,
     compose_retrofit,
-    deflate_hidden,
     deflated_abscissa,
     direct_controller,
     extended_rectifier,

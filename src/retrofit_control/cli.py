@@ -52,11 +52,7 @@ from .retrofit import (
     new_subsystem,
     performance_bounds,
 )
-from .synthesis import (
-    DEFAULT_NOISE_SCALE,
-    SynthesisError,
-    hinf_synthesize,
-)
+from .synthesis import SynthesisError, hinf_synthesize
 from .verification import run_all_checks
 
 CONFIG_SCHEMA = 1
@@ -68,9 +64,6 @@ DEFAULT_CONFIG = {
     "kc_grid": list(range(11)),
     "napx_grid": [0, 2, 8, 12],
     "alpha_grid": [0.2, 0.01],
-    "eps": DEFAULT_NOISE_SCALE,
-    "gamma_tol": 1e-3,
-    "norm_tol": 1e-8,
     "simulate": {"t_final": 30.0, "dt": 0.02},
 }
 
@@ -161,11 +154,11 @@ def load_config(path):
     nonempty lists of finite numbers, a ``kc_grid`` entry below 0, a
     ``napx_grid`` entry that is not an integer >= 0, an ``alpha_grid`` entry
     not above 0, a ``simulate`` that is not an object with finite ``dt`` and
-    ``t_final`` > 0, an ``eps``, ``gamma_tol`` or ``norm_tol`` that is not a
-    finite number > 0, a ``seed`` that is not an integer >= 0, and a ``network``
-    that is neither ``"paper-benchmark"`` nor an object with exactly the
-    keys a custom network is read from, each of the right type (its numbers
-    finite), that builds and partitions; each error names the key.
+    ``t_final`` > 0, a ``seed`` that is not an integer >= 0, and a
+    ``network`` that is neither ``"paper-benchmark"`` nor an object with
+    exactly the keys a custom network is read from, each of the right type
+    (its numbers finite), that builds and partitions; each error names the
+    key.
     """
     cfg = dict(DEFAULT_CONFIG)
     cfg["simulate"] = dict(DEFAULT_CONFIG["simulate"])
@@ -189,11 +182,10 @@ def load_config(path):
             raise ValueError(f"{key} must be a nonempty list of numbers, got {grid!r}")
         if not all(map(ok, grid)):
             raise ValueError(f"each {key} entry must be {form}, got {grid!r}")
-    positive = {f"simulate {k}": cfg["simulate"][k] for k in ("dt", "t_final")}
-    positive.update((k, cfg[k]) for k in ("eps", "gamma_tol", "norm_tol"))
-    for key, value in positive.items():
+    for key in ("dt", "t_final"):
+        value = cfg["simulate"][key]
         if not (_is_number(value) and value > 0):
-            raise ValueError(f"{key} must be a number > 0, got {value!r}")
+            raise ValueError(f"simulate {key} must be a number > 0, got {value!r}")
     if not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
         raise ValueError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
     _check_network(cfg)
@@ -253,22 +245,16 @@ def _deflated_stable(T_zd):
     return bool(deflated_abscissa(T_zd) < STABILITY_TOL)
 
 
-def _design_module(G, apx, alpha, cfg):
-    return hinf_synthesize(
-        new_subsystem(G, apx), alpha, eps=cfg["eps"], gamma_tol=cfg["gamma_tol"]
-    )
-
-
-def _sweep_point(cfg, G, env_min, apx, merr, k_c, napx, alpha):
+def _sweep_point(G, env_min, apx, merr, k_c, napx, alpha):
     """One performance row; synthesis failures produce a flagged row."""
     try:
-        module, _ = _design_module(G, apx, alpha, cfg)
+        module, _ = hinf_synthesize(new_subsystem(G, apx), alpha)
     except (SynthesisError, NumericsError) as exc:
         return (
             [k_c, napx, alpha, merr, np.nan, np.nan, np.nan, False, False, np.nan],
             f"synthesis failed at kc={k_c} napx={napx} alpha={alpha}: {exc}",
         )
-    report = performance_bounds(G, env_min, apx, module, norm_tol=cfg["norm_tol"])
+    report = performance_bounds(G, env_min, apx, module)
     direct = closed_loop_direct(G, env_min, direct_controller(G, module))
     row = [
         k_c,
@@ -304,7 +290,7 @@ def cmd_sweep(cfg, out_dir, workers):
                 tasks.append((G, env_min, apx, merr, k_c, napx, alpha))
 
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        results = list(pool.map(lambda task: _sweep_point(cfg, *task), tasks))
+        results = list(pool.map(lambda task: _sweep_point(*task), tasks))
 
     perf_rows = [row for row, _ in results]
     warnings = [warning for _, warning in results if warning]
@@ -357,7 +343,7 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
     meta = {"mode": mode, "k_c": k_c, "n_apx": napx, "alpha": alpha, "dt": dt}
     if mode in ("retrofit", "direct"):
         try:
-            module, meta["achieved_gamma"] = _design_module(G, apx, alpha, cfg)
+            module, meta["achieved_gamma"] = hinf_synthesize(new_subsystem(G, apx), alpha)
         except (SynthesisError, NumericsError) as exc:
             print(f"synthesis failed at kc={k_c} napx={napx} alpha={alpha}: {exc}",
                   file=sys.stderr)

@@ -234,13 +234,14 @@ def simulate(sys, u, dt, x0=None):
 
     ``u`` is ``(samples, inputs)``; no other shape is taken.  ``(A_d, B_d)``
     is the exact ZOH discretization, from an augmented matrix exponential.
-    An impulse is represented as a first-sample pulse of height ``1/dt``.
+    An impulse is represented as a first-sample pulse of height ``1/dt``;
+    ``dt`` must be a finite number > 0.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[1] != sys.n_inputs:
         raise ValueError(f"u has shape {u.shape}, expected (samples, {sys.n_inputs})")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0 and np.isfinite(dt)):
+        raise ValueError(f"dt must be a finite number > 0, got {dt!r}")
     n, m = sys.n_states, sys.n_inputs
     if x0 is None:
         x = np.zeros(n)

@@ -82,9 +82,12 @@ def balanced_truncate(sys, r):
     Square-root method on the balancing of ``_balancing``, which is
     computed once per system and reused for every order.  ``r = 0``
     returns the static D-only system.  Requested dimensions below the
-    numerical Hankel rank floor are clipped.
+    numerical Hankel rank floor are clipped.  ``r`` must be an integer
+    (a numpy integer will do, a bool will not).
     """
     n = sys.n_states
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        raise ValueError(f"requested dimension r must be an integer, got {r!r}")
     if not 0 <= r <= n:
         raise ValueError(f"requested dimension r={r} outside [0, {n}]")
     if n == 0:

@@ -38,12 +38,13 @@ __all__ = [
     "invariance_residual",
     "kernel_residual",
     "deflated_abscissa",
-    "deflate_hidden",
     "STABILITY_TOL",
 ]
 
 # Deflated spectral abscissa must fall below this value for a "stable" verdict.
 STABILITY_TOL = -1e-9
+# Relative width of the bracket of each norm that performance_bounds reports.
+_NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,27 +141,29 @@ def assemble_preexisting(G, env):
 _HIDE_TOL = 1e-7
 
 
-def _split_marginal(sys):
-    """Decouple the modes with real part >= STABILITY_TOL from the stable rest.
+def _deflate(sys):
+    """Deflated spectral abscissa and the system without its hidden marginal modes.
 
-    Returns the spectral abscissa of the strictly stable remainder, that
-    remainder as a system, and the real parts of the split-off modes that
-    are both controllable and observable, relative to the input/output
-    coupling scale, above ``_HIDE_TOL``.  An ordered real Schur form and a
-    Sylvester solve make the split an exact similarity; the abscissa is the
-    largest diagonal entry of the remainder's block of that form, since
-    LAPACK standardizes a 2 x 2 block to hold the real part on its
-    diagonal.  With no such mode the remainder is ``sys`` itself.
+    The modes with real part >= STABILITY_TOL are decoupled from the
+    strictly stable rest by an exact similarity: an ordered real Schur form
+    and a Sylvester solve.  A split-off mode is visible when it is both
+    controllable and observable, relative to the input/output coupling
+    scale, above ``_HIDE_TOL``.  Returns the largest of the remainder's
+    abscissa and the visible modes' real parts, together with the
+    remainder as a system, or ``sys`` itself when some split-off mode is
+    visible.  The remainder's abscissa is the largest diagonal entry of its
+    block of the Schur form, since LAPACK standardizes a 2 x 2 block to hold
+    the real part on its diagonal.
     """
     n = sys.n_states
     if n == 0:
-        return -np.inf, sys, []
+        return -np.inf, sys
     T, Z, k = scipy.linalg.schur(
         sys.A, output="real", sort=lambda re, im: re >= STABILITY_TOL
     )
     abscissa = float(np.max(np.diag(T)[k:])) if k < n else -np.inf
     if k == 0:
-        return abscissa, sys, []
+        return abscissa, sys
     Bt = Z.T @ sys.B
     Ct = sys.C @ Z
     if k == n:
@@ -188,12 +191,6 @@ def _split_marginal(sys):
         ctr = np.linalg.norm(w @ B1) / scale_b
         if obs > _HIDE_TOL and ctr > _HIDE_TOL:
             visible.append(float(evals[i].real))
-    return abscissa, reduced, visible
-
-
-def _deflate(sys):
-    """Deflated abscissa and hidden-mode-free system from one marginal split."""
-    abscissa, reduced, visible = _split_marginal(sys)
     return max([abscissa] + visible), (sys if visible else reduced)
 
 
@@ -206,15 +203,6 @@ def deflated_abscissa(sys):
     dynamics determine the verdict.
     """
     return _deflate(sys)[0]
-
-
-def deflate_hidden(sys):
-    """Remove the marginal/unstable block when all its modes are hidden.
-
-    Returns the input unchanged when some such mode genuinely appears in
-    the i/o behavior (the system is then not norm-bounded anyway).
-    """
-    return _deflate(sys)[1]
 
 
 def check_admissible(G, env):
@@ -468,31 +456,33 @@ def _entry_ratio(pairs, mats):
     ))
 
 
-def performance_bounds(G, env, apx, module, norm_tol=1e-8):
+def performance_bounds(G, env, apx, module):
     """Achieved norm and its cascade bound components for one design.
 
     Returns a report with the achieved ``||T_zd||``, the assumed level
     (upstream ``d -> z_hat`` norm), the gap term (cascade ``d -> z_check``
     norm) and the stability verdict; when the deflated closed loop is not
     stable the norms are reported as ``nan``.  Each norm is the midpoint
-    of a bracket of relative width ``norm_tol`` whose lower end is an
-    attained gain.  The controller is :func:`compose_retrofit`'s, so a
-    module that it refuses is refused here with the same ``ValueError``.
+    of a bracket of relative width ``1e-8`` whose lower end is an attained
+    gain.  The cascade is deflated once, for all its rows: a marginal mode
+    is excused only when it is hidden from ``z``, ``z_hat`` and ``z_check``
+    alike.  The controller is
+    :func:`compose_retrofit`'s, so a module that it refuses is refused here
+    with the same ``ValueError``.
     """
     residual = invariance_residual(G, compose_retrofit(G, apx, module))
-    casc = cascade_realization(G, env, apx, module)
-
-    nz = G.S.shape[0]
-    abscissa, tz = _deflate(select(casc, np.arange(nz)))
+    abscissa, casc = _deflate(cascade_realization(G, env, apx, module))
     if not abscissa < STABILITY_TOL:
         return PerformanceReport(np.nan, np.nan, np.nan, False, residual)
 
+    nz = G.S.shape[0]
+    tz = select(casc, np.arange(nz))
     up_hat = select(_design_loop(G, apx, module), np.arange(nz))
-    down_check = deflate_hidden(select(casc, np.arange(2 * nz, 3 * nz)))
+    down_check = select(casc, np.arange(2 * nz, 3 * nz))
     return PerformanceReport(
-        hinf_norm(minreal(tz), tol=norm_tol),
-        hinf_norm(minreal(up_hat), tol=norm_tol),
-        hinf_norm(minreal(down_check), tol=norm_tol),
+        hinf_norm(minreal(tz), tol=_NORM_TOL),
+        hinf_norm(minreal(up_hat), tol=_NORM_TOL),
+        hinf_norm(minreal(down_check), tol=_NORM_TOL),
         True,
         residual,
     )

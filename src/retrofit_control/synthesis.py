@@ -5,8 +5,8 @@ Doyle, Glover, Khargonekar and Francis, with bisection over the attenuation
 level) and an observer-based stabilizing module.  ``hinf_synthesize`` takes
 the design plant and stacks its generalized plant itself: exogenous inputs
 ``(d, noise)``, performance rows ``(z, alpha * u)`` and measurement rows
-``(y_hat, w_hat)`` corrupted by ``eps``-scaled fictitious noise, so the
-noise-to-measurement feedthrough has full row rank.  Every module
+``(y_hat, w_hat)`` corrupted by fictitious noise scaled by ``1e-4``, so
+the noise-to-measurement feedthrough has full row rank.  Every module
 controller is a plain ``(y_hat, w_hat) -> u`` StateSpace.
 """
 
@@ -19,7 +19,8 @@ from .numerics import (
 
 __all__ = ["SynthesisError", "hinf_synthesize", "lqg_module"]
 
-DEFAULT_NOISE_SCALE = 1e-4
+_NOISE_SCALE = 1e-4
+_GAMMA_TOL = 1e-3
 _PSD_TOL = 1e-8
 
 
@@ -112,25 +113,23 @@ def _design_shift(A):
     return A
 
 
-def hinf_synthesize(design_plant, alpha, eps=DEFAULT_NOISE_SCALE, gamma_tol=1e-3):
+def hinf_synthesize(design_plant, alpha):
     """Near-optimal H-infinity output-feedback module for a design plant.
 
     ``design_plant`` is a partitioned plant, typically the subsystem closed
     with its approximate environment model (``new_subsystem(G, apx)``); its
     modeling-error channel ``v`` is left open and ignored.  The generalized
-    plant is the one the module docstring describes; ``alpha`` and ``eps``
-    must be positive.
+    plant is the one the module docstring describes; ``alpha`` must be
+    positive.
 
     Bisects the attenuation level using the two-Riccati solvability test
     and returns ``(K, gamma)``: the central controller at the last feasible
     level, a ``(y_hat, w_hat) -> u`` StateSpace, together with that level.
-    The closed loop is verified internally stable with norm within
-    ``(1 + gamma_tol)`` of the reported level.
+    The closed loop is verified internally stable with norm within a
+    relative ``1e-3`` of the reported level.
     """
     if alpha <= 0:
         raise ValueError("control weight alpha must be positive")
-    if not eps > 0:
-        raise ValueError("noise scale eps must be positive")
     A_true = design_plant.A
     W, B2 = design_plant.W, design_plant.B
     S, C, Gamma = design_plant.S, design_plant.C, design_plant.Gamma
@@ -143,7 +142,7 @@ def hinf_synthesize(design_plant, alpha, eps=DEFAULT_NOISE_SCALE, gamma_tol=1e-3
     C1 = np.vstack([S, np.zeros((nu, n))])
     D12 = np.vstack([np.zeros((nz, nu)), alpha * np.eye(nu)])
     C2 = np.vstack([C, Gamma])
-    D21 = np.hstack([np.zeros((nmeas, nd)), eps * np.eye(nmeas)])
+    D21 = np.hstack([np.zeros((nmeas, nd)), _NOISE_SCALE * np.eye(nmeas)])
     terms = _level_free_terms(B1, B2, C1, C2, D12, D21)
     plant = StateSpace(
         A_true,
@@ -172,7 +171,7 @@ def hinf_synthesize(design_plant, alpha, eps=DEFAULT_NOISE_SCALE, gamma_tol=1e-3
 
     lo = 0.0
     best = (hi, data)
-    while hi - lo > gamma_tol * max(lo, 1e-8):
+    while hi - lo > _GAMMA_TOL * max(lo, 1e-8):
         mid = 0.5 * (lo + hi)
         cand, _ = _riccati_pair(A, terms, mid)
         if cand is None:
@@ -193,7 +192,7 @@ def hinf_synthesize(design_plant, alpha, eps=DEFAULT_NOISE_SCALE, gamma_tol=1e-3
                 achieved = hinf_norm(minreal(closed), tol=1e-6)
             except NumericsError:
                 achieved = np.inf
-            if achieved <= gamma * (1.0 + gamma_tol) + 1e-9:
+            if achieved <= gamma * (1.0 + _GAMMA_TOL) + 1e-9:
                 return K, float(gamma)
         gamma *= 1.2
         data, reason = _riccati_pair(A, terms, gamma)

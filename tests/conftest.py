@@ -2,7 +2,8 @@
 
 import pytest
 
-from retrofit_control.cli import DEFAULT_CONFIG, _apx_for, _design_module, _environment_setup
+from retrofit_control import hinf_synthesize, new_subsystem
+from retrofit_control.cli import DEFAULT_CONFIG, _apx_for, _environment_setup
 
 
 @pytest.fixture(scope="module")
@@ -15,5 +16,5 @@ def preset_design():
     """
     G, env = _environment_setup(DEFAULT_CONFIG, 10)
     apx = _apx_for(env, 8)
-    module, _ = _design_module(G, apx, 0.2, DEFAULT_CONFIG)
+    module, _ = hinf_synthesize(new_subsystem(G, apx), 0.2)
     return G, env, apx, module

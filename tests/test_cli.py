@@ -199,15 +199,21 @@ class TestSweep:
         with pytest.raises(ValueError, match=key):
             load_config(str(cfg))
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-4, "1e-4"])
-    def test_nonpositive_eps_rejected(self, tmp_path, eps):
-        cfg = _write_cfg(tmp_path / "cfg.json", eps=eps)
-        with pytest.raises(ValueError, match="eps"):
+    @pytest.mark.parametrize(
+        "key, value", [("eps", 1e-4), ("gamma_tol", 1e-3), ("norm_tol", 1e-8)]
+    )
+    def test_solver_tolerance_keys_refused(self, tmp_path, key, value):
+        # The solver tolerances are constants; a config that still sets
+        # one, even to the value the solver uses, is refused by name.
+        cfg = _write_cfg(tmp_path / "cfg.json", **{key: value})
+        with pytest.raises(ValueError, match=f"^unknown config key\\(s\\): '{key}'$"):
             load_config(str(cfg))
 
     @pytest.mark.parametrize(
         "key, value, match",
         [
+            # The solver tolerances (here and below) are no config keys: a
+            # bad value of one is refused by name, as a valid one is.
             ("gamma_tol", "x", "gamma_tol"),
             ("gamma_tol", -1e-3, "gamma_tol"),
             ("norm_tol", 0, "norm_tol"),
@@ -269,10 +275,10 @@ class TestSweep:
                 outs["custom"] / name
             ).read_bytes()
 
-    def test_tiny_eps_gives_flagged_row(self, tmp_path, capsys):
-        # Normalizing by a subnormal noise factor overflows in synthesis;
+    def test_tiny_alpha_gives_flagged_row(self, tmp_path, capsys):
+        # Normalizing by a subnormal control weight overflows in synthesis;
         # the row is flagged, not a traceback.
-        cfg = _write_cfg(tmp_path / "cfg.json", kc_grid=[2], eps=1e-160)
+        cfg = _write_cfg(tmp_path / "cfg.json", kc_grid=[2], alpha_grid=[1e-160])
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         (row,) = _read_rows(tmp_path / "o" / "performance.csv")
         for key in ("gamma_actual", "gamma_hat", "gamma_check"):
@@ -280,11 +286,11 @@ class TestSweep:
         assert row["stable_retrofit"] == "false"
         meta = json.loads((tmp_path / "o" / "sweep_metadata.json").read_text())
         assert len(meta["warnings"]) == 1
+        assert "normalized feedthrough products are not finite" in meta["warnings"][0]
         assert "synthesis failed" in capsys.readouterr().err
 
     def test_known_keys_load(self, tmp_path):
-        cfg = _write_cfg(tmp_path / "cfg.json", seed=6, eps=1e-4, gamma_tol=1e-3,
-                         norm_tol=1e-8, network="paper-benchmark")
+        cfg = _write_cfg(tmp_path / "cfg.json", seed=6, network="paper-benchmark")
         loaded = load_config(str(cfg))
         assert loaded["kc_grid"] == [3]
         assert loaded["simulate"] == {"t_final": 5.0, "dt": 0.02}
@@ -383,17 +389,17 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mode", ["retrofit", "direct"])
     def test_synthesis_failure_reported(self, tmp_path, capsys, mode):
-        # eps 1e-160 makes the normalized Gram products overflow, so
+        # alpha 1e-160 makes the normalized Gram products overflow, so
         # synthesis fails; simulate says so like a sweep's flagged row and
         # writes nothing.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"schema": 1, "eps": 1e-160}))
+        cfg.write_text(json.dumps({"schema": 1}))
         out = tmp_path / "sim"
         code = main(["simulate", "--config", str(cfg), "--kc", "2", "--napx", "0",
-                     "--alpha", "0.2", "--mode", mode, "--out", str(out)])
+                     "--alpha", "1e-160", "--mode", mode, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "synthesis failed at kc=2.0 napx=0 alpha=0.2: " in err
+        assert "synthesis failed at kc=2.0 napx=0 alpha=1e-160: " in err
         assert "not finite" in err
         assert not out.exists()
 

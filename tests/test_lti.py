@@ -429,6 +429,13 @@ class TestSimulate:
             simulate(sys, np.zeros(shape), 1e-2)
         assert str(shape) in str(err.value)
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-2])
+    def test_non_finite_or_nonpositive_dt_refused(self, dt):
+        # NaN and +inf once passed the sign test and returned NaN samples.
+        sys = StateSpace([[-1.0]], [[1.0]], [[1.0]])
+        with pytest.raises(ValueError, match="dt must be a finite number > 0"):
+            simulate(sys, np.zeros((3, 1)), dt)
+
 
 class TestMinreal:
     def test_removes_uncontrollable_block(self):

@@ -143,6 +143,20 @@ class TestBalancedTruncate:
         # Dominant branch alone has peak gain 10; error must be tiny vs that.
         assert err < 0.05
 
+    @pytest.mark.parametrize("r", [2.5, 2.0, True, False, "2"])
+    def test_non_integer_order_refused(self, r):
+        # A float order once failed deep inside as a slice TypeError, and
+        # True silently truncated to order 1.
+        sys = _rand_stable(np.random.default_rng(9), 4, 1, 1)
+        with pytest.raises(ValueError, match="r must be an integer"):
+            balanced_truncate(sys, r)
+
+    def test_numpy_integer_order_accepted(self):
+        sys = _rand_stable(np.random.default_rng(9), 4, 1, 1)
+        red = balanced_truncate(sys, np.int64(2))
+        assert red.reduced.n_states == 2
+        assert np.array_equal(red.reduced.A, balanced_truncate(sys, 2).reduced.A)
+
 
 class _Referable(StateSpace):
     """A ``StateSpace`` that a weak reference can point to."""

@@ -24,7 +24,6 @@ from retrofit_control import (
     close_loop,
     closed_loop_direct,
     compose_retrofit,
-    deflate_hidden,
     deflated_abscissa,
     direct_controller,
     extended_rectifier,
@@ -40,6 +39,7 @@ from retrofit_control import (
     series,
     spectral_abscissa,
 )
+from retrofit_control.retrofit import _deflate
 from retrofit_control.verification import (
     random_admissible_env,
     random_apx,
@@ -295,13 +295,13 @@ class TestDeflation:
         A = np.diag([0.0, -1.0])
         sys = StateSpace(A, [[0.0], [1.0]], [[0.0, 1.0]])
         assert deflated_abscissa(sys) == pytest.approx(-1.0, abs=1e-9)
-        assert deflate_hidden(sys).n_states == 1
+        assert _deflate(sys)[1].n_states == 1
 
     def test_visible_marginal_mode_kept(self):
         A = np.diag([0.0, -1.0])
         sys = StateSpace(A, [[1.0], [1.0]], [[1.0, 1.0]])
         assert deflated_abscissa(sys) >= -1e-12
-        assert deflate_hidden(sys).n_states == 2
+        assert _deflate(sys)[1].n_states == 2
 
     def test_stable_system_untouched(self):
         rng = np.random.default_rng(8)

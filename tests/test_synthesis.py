@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from retrofit_control import synthesis
 from retrofit_control import (
     PartitionedPlant,
     StateSpace,
@@ -29,6 +30,21 @@ def _scalar_plant(a=-1.0):
     )
 
 
+def _scalar_level_free_terms(eps):
+    """``_level_free_terms`` of the scalar plant at alpha 0.5, noise scale ``eps``.
+
+    The blocks are those ``hinf_synthesize`` stacks, whose noise scale is
+    fixed at 1e-4; a free one reaches the measurement-noise refusals.
+    """
+    p = _scalar_plant()
+    B1 = np.hstack([p.W, np.zeros((1, 2))])
+    C1 = np.vstack([p.S, [[0.0]]])
+    D12 = np.array([[0.0], [0.5]])
+    C2 = np.vstack([p.C, p.Gamma])
+    D21 = np.hstack([np.zeros((2, 1)), eps * np.eye(2)])
+    return synthesis._level_free_terms(B1, p.B, C1, C2, D12, D21)
+
+
 def _static_closed_norm(plant, alpha, ky, kw):
     """Norm of d -> (z, alpha*u) under u = ky*y + kw*w (independent oracle)."""
     K = ky * plant.C + kw * plant.Gamma
@@ -40,22 +56,16 @@ def _static_closed_norm(plant, alpha, ky, kw):
 
 
 class TestHinfSynthesize:
-    def test_zero_noise_rejected(self):
-        # A noise-free measurement feedthrough is rank deficient, so the
-        # plant could never be synthesized; it is refused up front.
-        with pytest.raises(ValueError, match="eps"):
-            hinf_synthesize(_scalar_plant(), alpha=0.5, eps=0.0)
-
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
             hinf_synthesize(_scalar_plant(), alpha=0.0)
-        with pytest.raises(ValueError, match="eps"):
-            hinf_synthesize(_scalar_plant(), alpha=0.5, eps=-1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            hinf_synthesize(_scalar_plant(), alpha=-0.5)
 
     def test_beats_static_gain_grid(self):
         alpha = 0.5
         plant = _scalar_plant()
-        _, gamma = hinf_synthesize(plant, alpha, gamma_tol=1e-4)
+        _, gamma = hinf_synthesize(plant, alpha)
         # Oracle: fine grid over static gains; dynamic output feedback can
         # only match or beat the best static gain (up to the noise channel).
         grid = np.linspace(-20.0, 0.0, 2001)
@@ -108,42 +118,48 @@ class TestHinfSynthesize:
     def test_rank_deficient_noise_feedthrough_refused(self):
         # eps**2 underflows to zero, so the noise feedthrough loses its rank.
         with pytest.raises(SynthesisError, match="measurement-noise .* rank deficient"):
-            hinf_synthesize(_scalar_plant(), alpha=0.5, eps=1e-170)
+            _scalar_level_free_terms(eps=1e-170)
 
     @pytest.mark.parametrize(
-        "alpha, eps, match",
+        "refuse, match",
         [
             # alpha**2 underflows to zero: the control weight has no rank.
-            pytest.param(1e-170, 1e-4, "control-weight .* rank deficient", id="alpha-1e-170"),
+            pytest.param(lambda: hinf_synthesize(_scalar_plant(), 1e-170),
+                         "control-weight .* rank deficient", id="alpha-1e-170"),
             # alpha**2 and eps**2 are subnormal: normalizing by their
             # Cholesky factors overflows the Gram products.
-            pytest.param(1e-160, 1e-4, "not finite", id="alpha-1e-160"),
-            pytest.param(0.5, 1e-160, "not finite", id="eps-1e-160"),
+            pytest.param(lambda: hinf_synthesize(_scalar_plant(), 1e-160),
+                         "not finite", id="alpha-1e-160"),
+            pytest.param(lambda: _scalar_level_free_terms(eps=1e-160),
+                         "not finite", id="eps-1e-160"),
         ],
     )
-    def test_tiny_weights_refused(self, alpha, eps, match):
+    def test_tiny_weights_refused(self, refuse, match):
         # Refused without printing an overflow RuntimeWarning.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SynthesisError, match=match):
-                hinf_synthesize(_scalar_plant(), alpha, eps=eps)
+                refuse()
 
     @pytest.mark.parametrize(
-        "alpha, eps, match",
+        "refuse, match",
         [
             # alpha**2 or eps**2 overflows: the feedthrough product itself
             # is infinite, not rank deficient.
-            pytest.param(1e160, 1e-4, "control-weight .* not finite", id="alpha-1e160"),
-            pytest.param(1e200, 1e-4, "control-weight .* not finite", id="alpha-1e200"),
-            pytest.param(0.5, 1e200, "measurement-noise .* not finite", id="eps-1e200"),
+            pytest.param(lambda: hinf_synthesize(_scalar_plant(), 1e160),
+                         "control-weight .* not finite", id="alpha-1e160"),
+            pytest.param(lambda: hinf_synthesize(_scalar_plant(), 1e200),
+                         "control-weight .* not finite", id="alpha-1e200"),
+            pytest.param(lambda: _scalar_level_free_terms(eps=1e200),
+                         "measurement-noise .* not finite", id="eps-1e200"),
         ],
     )
-    def test_huge_weights_refused(self, alpha, eps, match):
+    def test_huge_weights_refused(self, refuse, match):
         # Refused without printing an overflow RuntimeWarning.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SynthesisError, match=match):
-                hinf_synthesize(_scalar_plant(), alpha, eps=eps)
+                refuse()
 
     def test_marginal_mode_hidden_from_performance(self):
         # Rigid-body-style zero eigenvalue invisible to z is handled by the
