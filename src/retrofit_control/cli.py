@@ -149,16 +149,17 @@ def _check_network(cfg):
 def load_config(path):
     """Read a JSON config, filling unspecified fields with defaults.
 
-    The document must be an object.  Unknown keys, at the top level or
-    under ``simulate``, are rejected, and so are grids that are not
-    nonempty lists of finite numbers, a ``kc_grid`` entry below 0, a
-    ``napx_grid`` entry that is not an integer >= 0, an ``alpha_grid`` entry
-    not above 0, a ``simulate`` that is not an object with finite ``dt`` and
-    ``t_final`` > 0, a ``seed`` that is not an integer >= 0, and a
-    ``network`` that is neither ``"paper-benchmark"`` nor an object with
-    exactly the keys a custom network is read from, each of the right type
-    (its numbers finite), that builds and partitions; each error names the
-    key.
+    The document must be an object; its ``schema``, when given, must be
+    the integer ``CONFIG_SCHEMA`` (``true`` and ``1.0`` are not).  Unknown
+    keys, at the top level or under ``simulate``, are rejected, and so are
+    grids that are not nonempty lists of finite numbers, a ``kc_grid``
+    entry below 0, a ``napx_grid`` entry that is not an integer >= 0, an
+    ``alpha_grid`` entry not above 0, a ``simulate`` that is not an object
+    with finite ``dt`` and ``t_final`` > 0, a ``seed`` that is not an
+    integer >= 0, and a ``network`` that is neither ``"paper-benchmark"``
+    nor an object with exactly the keys a custom network is read from, each
+    of the right type (its numbers finite), that builds and partitions; each
+    error names the key.
     """
     cfg = dict(DEFAULT_CONFIG)
     cfg["simulate"] = dict(DEFAULT_CONFIG["simulate"])
@@ -167,8 +168,9 @@ def load_config(path):
             user = json.load(fh)
         if not isinstance(user, dict):
             raise ValueError(f"config must be a JSON object, got {user!r}")
-        if user.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
-            raise ValueError(f"unsupported config schema {user.get('schema')}")
+        schema = user.get("schema", CONFIG_SCHEMA)
+        if not (_is_int(schema) and schema == CONFIG_SCHEMA):
+            raise ValueError(f"unsupported config schema {schema!r}")
         _reject_unknown(user, DEFAULT_CONFIG, "config")
         sim = user.pop("simulate", {})
         if not isinstance(sim, dict):

@@ -65,6 +65,14 @@ class StateSpace:
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", D)
 
+    @classmethod
+    def _trusted(cls, A, B, C, D):
+        """Wrap read-only blocks of checked systems, without a copy or a check."""
+        sys = object.__new__(cls)
+        for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
+            object.__setattr__(sys, name, M)
+        return sys
+
     def __setattr__(self, name, value):
         raise AttributeError("StateSpace is immutable")
 
@@ -117,7 +125,10 @@ def _indices(spec, limit, name):
 
 
 def select(sys, rows=None, cols=None):
-    """Subsystem keeping the output ``rows`` and input ``cols`` (all when ``None``)."""
+    """Subsystem keeping the output ``rows`` and input ``cols`` (all when ``None``).
+
+    The result shares ``sys.A``; its other blocks are read-only copies.
+    """
     B, C, D = sys.B, sys.C, sys.D
     if rows is not None:
         rows = _indices(rows, sys.n_outputs, "rows")
@@ -125,7 +136,9 @@ def select(sys, rows=None, cols=None):
     if cols is not None:
         cols = _indices(cols, sys.n_inputs, "cols")
         B, D = B[:, cols], D[:, cols]
-    return StateSpace(sys.A, B, C, D)
+    for M in (B, C, D):
+        M.flags.writeable = False
+    return StateSpace._trusted(sys.A, B, C, D)
 
 
 def series(g1, g2):
@@ -181,10 +194,14 @@ def close_loop(sys, ctrl, in_idx, out_idx):
     Dsl, Dso = Ds[:, in_idx], Ds[:, other]
     Ak, Bk, Ck, Dk = ctrl.A, ctrl.B, ctrl.C, ctrl.D
 
-    M = np.eye(len(out_idx)) - Dsl @ Dk
-    if M.size and np.linalg.cond(M) > 1e12:
-        raise ValueError("algebraic loop: I - D_loop D_ctrl is singular")
-    Mi = np.linalg.inv(M)
+    if Dsl.any():
+        M = np.eye(len(out_idx)) - Dsl @ Dk
+        if np.linalg.cond(M) > 1e12:
+            raise ValueError("algebraic loop: I - D_loop D_ctrl is singular")
+        Mi = np.linalg.inv(M)
+    else:
+        # A loop without feedthrough has M = I exactly, and inv(I) is I.
+        Mi = np.eye(len(out_idx))
 
     # y_s = Mi (Cs x + Dsl Ck xk + Dso u_o); u_l = Ck xk + Dk y_s.  Shared
     # products are formed once; every chain associates left to right

@@ -18,7 +18,9 @@ from .numerics import NumericsError, hinf_norm, spectral_abscissa
 from .retrofit import (
     PartitionedPlant,
     STABILITY_TOL,
+    _close_direct,
     _entry_ratio,
+    _plant_with_env,
     assemble_preexisting,
     cascade_realization,
     closed_loop_direct,
@@ -48,9 +50,11 @@ __all__ = [
 KERNEL_TOL = 1e-8
 CASCADE_TOL = 1e-6
 SANDWICH_SLACK = 1e-9
-# Sample sizes: cases of the kernel check, approximate models of robust stability.
+# Sample sizes: cases of the kernel check, approximate models of robust
+# stability, and the designs the cascade and sandwich checks share.
 KERNEL_CASES = 20
 ROBUST_APX = 10
+DESIGN_CASES = 10
 
 
 @dataclass
@@ -174,13 +178,14 @@ def check_robust_stability(seed=0, n_env=50):
     """Every verified module keeps every admissible environment stable."""
     rng = np.random.default_rng(seed)
     G = random_partitioned_plant(rng)
-    envs = [random_admissible_env(rng, G) for _ in range(n_env)]
+    # Each environment's preexisting loop is built once and closed with every K.
+    plants = [_plant_with_env(G, random_admissible_env(rng, G)) for _ in range(n_env)]
     cases = []
     for ia in range(ROBUST_APX):
         module, apx = _verified_module(rng, G, random_apx(rng, G))
         K = compose_retrofit(G, apx, module)
-        for ie, env in enumerate(envs):
-            absc = deflated_abscissa(closed_loop_direct(G, env, K))
+        for ie, plantE in enumerate(plants):
+            absc = deflated_abscissa(_close_direct(G, plantE, K))
             cases.append((absc, {"seed": seed, "apx": ia, "env": ie}))
     stable = sum(absc < STABILITY_TOL for absc, _ in cases)
     return _verdict(
@@ -199,7 +204,7 @@ def _designs(seed, n_cases):
         yield G, env, apx, module
 
 
-def check_cascade_equivalence(seed=0, n_cases=10):
+def check_cascade_equivalence(seed=0, n_cases=DESIGN_CASES):
     """The direct loop, in the cascade's coordinates ``T``, is the cascade.
 
     Each of ``T A_d - A_c T``, ``T B_d - B_c``, ``C_d - C_c T`` and
@@ -208,8 +213,12 @@ def check_cascade_equivalence(seed=0, n_cases=10):
     defect of the coupling ``B_dn`` reads its size relative to ``B_dn``;
     another state order fails.
     """
+    return _cascade_equivalence(seed, _designs(seed, n_cases))
+
+
+def _cascade_equivalence(seed, designs):
     cases = []
-    for ic, (G, env, apx, module) in enumerate(_designs(seed, n_cases)):
+    for ic, (G, env, apx, module) in enumerate(designs):
         d = closed_loop_direct(G, env, compose_retrofit(G, apx, module))
         c = select(cascade_realization(G, env, apx, module), np.arange(G.S.shape[0]))
         sizes = np.cumsum([G.A.shape[0], env.n_states, G.A.shape[0], apx.n_states])
@@ -227,10 +236,14 @@ def check_cascade_equivalence(seed=0, n_cases=10):
     return _verdict("cascade equivalence", CASCADE_TOL, cases)
 
 
-def check_bound_sandwich(seed=0, n_cases=10):
+def check_bound_sandwich(seed=0, n_cases=DESIGN_CASES):
     """|gamma_check - gamma_hat| <= ||T_zd|| <= gamma_hat + gamma_check."""
+    return _bound_sandwich(seed, _designs(seed, n_cases))
+
+
+def _bound_sandwich(seed, designs):
     cases = []
-    for ic, (G, env, apx, module) in enumerate(_designs(seed, n_cases)):
+    for ic, (G, env, apx, module) in enumerate(designs):
         report = performance_bounds(G, env, apx, module)
         replay = {"seed": seed, "case": ic}
         if not report.stable:
@@ -251,12 +264,14 @@ def run_all_checks(seed=0, fuzz_count=50):
     ``fuzz_count`` is the number of admissible environments in the
     robust-stability check; the other checks keep their own sample sizes.
     0 skips the robust-stability check, and negative counts are rejected.
+    The cascade and sandwich checks share one sample of their designs.
     """
     if fuzz_count < 0:
         raise ValueError(f"fuzz_count must be nonnegative, got {fuzz_count}")
     results = [check_kernel_identity(seed=seed)]
     if fuzz_count > 0:
         results.append(check_robust_stability(seed=seed, n_env=fuzz_count))
-    results.append(check_cascade_equivalence(seed=seed))
-    results.append(check_bound_sandwich(seed=seed))
+    designs = list(_designs(seed, DESIGN_CASES))
+    results.append(_cascade_equivalence(seed, designs))
+    results.append(_bound_sandwich(seed, designs))
     return results

@@ -132,6 +132,15 @@ class TestSweep:
         )
         assert proc.returncode != 0
 
+    @pytest.mark.parametrize("schema", [True, 1.0, "1", 2])
+    def test_schema_must_be_the_integer(self, tmp_path, schema):
+        # True == 1 == 1.0 in Python; the refusal shows the value's type.
+        cfg = tmp_path / "schema.json"
+        cfg.write_text(json.dumps({"schema": schema}))
+        with pytest.raises(ValueError) as err:
+            load_config(str(cfg))
+        assert str(err.value) == f"unsupported config schema {schema!r}"
+
     def test_empty_grid_rejected(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.json", kc_grid=[])
         proc = _run(

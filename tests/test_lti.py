@@ -2,7 +2,9 @@
 
 Interconnections are validated pointwise against complex transfer-matrix
 arithmetic at random frequencies, simulation against closed-form solutions,
-and minimal realization against hand-built nonminimal systems.
+and minimal realization against hand-built nonminimal systems.  The fast
+paths of ``close_loop`` (no loop feedthrough) and ``select`` (no copy) are
+pinned bit for bit to the general code.
 """
 
 import warnings
@@ -208,6 +210,31 @@ class TestInterconnections:
             close_loop(sys, ctrl, in_idx, out_idx)
 
 
+def _close_loop_by_inverse(sys, ctrl, in_idx, out_idx):
+    """``close_loop``'s general formula: ``Mi = inv(I - D_loop D_ctrl)``."""
+    in_idx, out_idx = np.asarray(in_idx), np.asarray(out_idx)
+    other = np.ones(sys.n_inputs, dtype=bool)
+    other[in_idx] = False
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    Bl, Bo = B[:, in_idx], B[:, other]
+    Cs, Ds = C[out_idx], D[out_idx]
+    Dsl, Dso = Ds[:, in_idx], Ds[:, other]
+    Ak, Bk, Ck, Dk = ctrl.A, ctrl.B, ctrl.C, ctrl.D
+    M = np.eye(len(out_idx)) - Dsl @ Dk
+    assert not (M.size and np.linalg.cond(M) > 1e12)
+    Mi = np.linalg.inv(M)
+    DkMi, BkMi = Dk @ Mi, Bk @ Mi
+    BlDkMi = Bl @ Dk @ Mi
+    Ckl = Ck + DkMi @ Dsl @ Ck
+    A_cl = _block([[A + BlDkMi @ Cs, Bl @ Ckl], [BkMi @ Cs, Ak + BkMi @ Dsl @ Ck]])
+    B_cl = np.vstack([Bo + BlDkMi @ Dso, BkMi @ Dso])
+    Dl = D[:, in_idx]
+    DlDkMi = Dl @ Dk @ Mi
+    C_cl = np.hstack([C + DlDkMi @ Cs, Dl @ Ckl])
+    D_cl = D[:, other] + DlDkMi @ Dso
+    return StateSpace(A_cl, B_cl, C_cl, D_cl)
+
+
 def _rel_err(H, ref):
     assert H.shape == ref.shape
     if not ref.size:
@@ -274,6 +301,47 @@ class TestInterconnectionProperties:
                 assert _rel_err(freq_response(cl, w), ref) < 1e-10 * np.linalg.cond(M)
 
         self._check(prop, n=(0, 4), nk=(0, 3), m=(1, 3), p=(1, 3))
+
+    def test_close_loop_without_loop_feedthrough_is_the_general_formula(self):
+        # With D_loop exactly zero close_loop skips the inverse of
+        # I - D_loop D_ctrl; its loop must equal the general formula in bits.
+        def prop(seed, n, nk, m, p):
+            rng = np.random.default_rng(seed)
+            sys = _rand_sys(rng, n, m, p, shift=3.0)
+            l = rng.choice(m, size=rng.integers(1, m + 1), replace=False)
+            o = rng.choice(p, size=rng.integers(0, p + 1), replace=False)
+            D = np.array(sys.D)
+            D[np.ix_(o, l)] = 0.0
+            sys = StateSpace(sys.A, sys.B, sys.C, D)
+            ctrl = _rand_sys(rng, nk, len(o), len(l), shift=3.0)
+            got, ref = close_loop(sys, ctrl, l, o), _close_loop_by_inverse(sys, ctrl, l, o)
+            for name in "ABCD":
+                g, r = getattr(got, name), getattr(ref, name)
+                assert g.shape == r.shape
+                assert g.tobytes() == r.tobytes()
+
+        self._check(prop, n=(0, 4), nk=(0, 3), m=(1, 3), p=(1, 3))
+
+    def test_select_blocks_are_read_only_sub_blocks(self):
+        # select skips StateSpace's copy and checks: its A is the parent's,
+        # and every block holds what StateSpace would store, read-only.
+        def prop(seed, n, m, p, which):
+            rng = np.random.default_rng(seed)
+            sys = _rand_sys(rng, n, m, p, shift=3.0)
+            rows = rng.choice(p, size=rng.integers(0, p + 1)) if which & 1 else None
+            cols = rng.choice(m, size=rng.integers(0, m + 1)) if which & 2 else None
+            sub = select(sys, rows, cols)
+            r = np.arange(p) if rows is None else rows
+            c = np.arange(m) if cols is None else cols
+            ref = StateSpace(sys.A, sys.B[:, c], sys.C[r], sys.D[np.ix_(r, c)])
+            assert sub.A is sys.A
+            for name in "ABCD":
+                got, want = getattr(sub, name), getattr(ref, name)
+                assert not got.flags.writeable
+                assert (got.shape, got.dtype) == (want.shape, want.dtype)
+                assert np.array_equal(got, want)
+
+        self._check(prop, n=(0, 4), m=(1, 4), p=(1, 4), which=(0, 3))
 
     def test_block_helper_is_np_block(self):
         # Bit-equal to np.block on 2 x 2 and 3 x 2 grids, zero-height rows

@@ -5,13 +5,15 @@ derived from its defining equations, the kernel and invariance properties
 by their exact state-space certificates (invariance also against the loop
 equations solved point by point), the cascade against the direct closed
 loop point by point, and the performance bounds against the exact-model
-collapse.
+collapse.  The marginal split's direct LAPACK Schur call is pinned bit for
+bit to ``scipy.linalg.schur``.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from retrofit_control import (
     NumericsError,
@@ -39,7 +41,7 @@ from retrofit_control import (
     series,
     spectral_abscissa,
 )
-from retrofit_control.retrofit import _deflate
+from retrofit_control.retrofit import STABILITY_TOL, _deflate, _ordered_schur
 from retrofit_control.verification import (
     random_admissible_env,
     random_apx,
@@ -310,6 +312,33 @@ class TestDeflation:
         assert deflated_abscissa(sys) == pytest.approx(
             spectral_abscissa(A), abs=1e-10
         )
+
+    @pytest.mark.parametrize(
+        "blocks, k",
+        [
+            ([[[-1.0]], [[-2.0]], [[-0.5, 1.0], [-1.0, -0.5]]], 0),
+            ([[[0.5]], [[-1.0]], [[-0.3, 2.0], [-2.0, -0.3]], [[0.2, 1.0], [-1.0, 0.2]]], 3),
+            ([[[0.5]], [[1.0]], [[0.1, 1.0], [-1.0, 0.1]]], 4),
+            ([[[0.0]], [[-1.0]], [[-2.0, 3.0], [-3.0, -2.0]]], 1),
+            ([[[0.0]]], 1),
+        ],
+        ids=["none-marginal", "some-marginal", "all-marginal", "zero-eigenvalue", "zero-1x1"],
+    )
+    def test_ordered_schur_is_scipy_schur(self, blocks, k):
+        # The direct LAPACK call must give scipy.linalg.schur's (T, Z, k) in
+        # bits: on a random similarity of a real block-diagonal form, and on
+        # that form itself, where a zero eigenvalue is exact.
+        rng = np.random.default_rng(len(blocks) + k)
+        J = scipy.linalg.block_diag(*blocks)
+        V = rng.standard_normal(J.shape)
+        for A in (V @ J @ np.linalg.inv(V), J):
+            T, Z, got_k = _ordered_schur(A)
+            Ts, Zs, ks = scipy.linalg.schur(
+                A, output="real", sort=lambda re, im: re >= STABILITY_TOL
+            )
+            assert got_k == ks == k
+            assert T.tobytes() == Ts.tobytes()
+            assert Z.tobytes() == Zs.tobytes()
 
 
 class TestRetrofitComposition:

@@ -12,7 +12,8 @@ fail.  The cascade check must also resolve a relative perturbation of
 1e-9 in its coupling block and still pass, must fail on a cascade with
 the same transfer matrix whose downstream states are swapped, and must
 fail on a 1e-3 relative perturbation of that block on the preset design,
-whose module gains dwarf the block.
+whose module gains dwarf the block.  A suite samples the designs of the
+cascade and sandwich checks once, and both read as they do alone.
 """
 
 import dataclasses
@@ -181,6 +182,26 @@ class TestBoundSandwich:
         assert not res.passed
         assert res.cases == 0
         assert res.detail == "no case evaluated"
+
+
+class TestSharedDesigns:
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_designs_sampled_once_per_suite(self, monkeypatch, seed):
+        # The cascade and sandwich checks of a suite share one sample, and
+        # read as they do alone.
+        real, calls = verification._designs, []
+
+        def counted(seed, n_cases):
+            calls.append((seed, n_cases))
+            return real(seed, n_cases)
+
+        monkeypatch.setattr(verification, "_designs", counted)
+        shared = verification.run_all_checks(seed=seed)[2:]
+        assert calls == [(seed, verification.DESIGN_CASES)]
+        alone = [check_cascade_equivalence(seed=seed), check_bound_sandwich(seed=seed)]
+        for got, want in zip(shared, alone, strict=True):
+            assert got.line() == want.line()
+            assert repr(got.worst) == repr(want.worst)
 
 
 class TestRobustStability:
