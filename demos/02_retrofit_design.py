@@ -9,6 +9,7 @@ of the same module controller.
 import numpy as np
 
 from retrofit_control import (
+    assemble_preexisting,
     balanced_truncate,
     build_network,
     closed_loop_direct,
@@ -49,7 +50,8 @@ def main():
           f"(assumed {report.gamma_hat:.4f} + gap {report.gamma_check:.4f})")
 
     # Same module without the rectifier: no guarantee, and here it fails.
-    direct = closed_loop_direct(G, env_min, direct_controller(G, module))
+    pre = assemble_preexisting(G, env_min)
+    direct = closed_loop_direct(G, pre, direct_controller(G, module))
     absc = deflated_abscissa(direct)
     print(f"direct design abscissa: {absc:+.4f} "
           f"({'unstable' if absc >= 0 else 'stable'})")

@@ -44,6 +44,7 @@ from .oscnet import (
 from .reduction import balanced_truncate
 from .retrofit import (
     STABILITY_TOL,
+    assemble_preexisting,
     cascade_realization,
     closed_loop_direct,
     compose_retrofit,
@@ -66,6 +67,8 @@ DEFAULT_CONFIG = {
     "alpha_grid": [0.2, 0.01],
     "simulate": {"t_final": 30.0, "dt": 0.02},
 }
+# Most samples ``round(t_final / dt) + 1`` that a simulate config may ask for.
+_MAX_SAMPLES = 10**6
 
 
 def _reject_unknown(keys, known, where):
@@ -155,11 +158,11 @@ def load_config(path):
     grids that are not nonempty lists of finite numbers, a ``kc_grid``
     entry below 0, a ``napx_grid`` entry that is not an integer >= 0, an
     ``alpha_grid`` entry not above 0, a ``simulate`` that is not an object
-    with finite ``dt`` and ``t_final`` > 0, a ``seed`` that is not an
-    integer >= 0, and a ``network`` that is neither ``"paper-benchmark"``
-    nor an object with exactly the keys a custom network is read from, each
-    of the right type (its numbers finite), that builds and partitions; each
-    error names the key.
+    with finite ``dt`` and ``t_final`` > 0 giving at most ``_MAX_SAMPLES``
+    samples, a ``seed`` that is not an integer >= 0, and a ``network`` that
+    is neither ``"paper-benchmark"`` nor an object with exactly the keys a
+    custom network is read from, each of the right type (its numbers
+    finite), that builds and partitions; each error names the key.
     """
     cfg = dict(DEFAULT_CONFIG)
     cfg["simulate"] = dict(DEFAULT_CONFIG["simulate"])
@@ -184,10 +187,16 @@ def load_config(path):
             raise ValueError(f"{key} must be a nonempty list of numbers, got {grid!r}")
         if not all(map(ok, grid)):
             raise ValueError(f"each {key} entry must be {form}, got {grid!r}")
+    sim = cfg["simulate"]
     for key in ("dt", "t_final"):
-        value = cfg["simulate"][key]
-        if not (_is_number(value) and value > 0):
-            raise ValueError(f"simulate {key} must be a number > 0, got {value!r}")
+        if not (_is_number(sim[key]) and sim[key] > 0):
+            raise ValueError(f"simulate {key} must be a number > 0, got {sim[key]!r}")
+    steps = sim["t_final"] / sim["dt"]  # inf when the quotient overflows
+    if not (np.isfinite(steps) and round(steps) + 1 <= _MAX_SAMPLES):
+        raise ValueError(
+            f"simulate dt {sim['dt']!r} gives more than {_MAX_SAMPLES} samples "
+            f"over t_final {sim['t_final']!r}"
+        )
     if not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
         raise ValueError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
     _check_network(cfg)
@@ -231,10 +240,11 @@ def _write_csv(path, header, rows):
 
 
 def _environment_setup(cfg, k_c):
-    """Partitioned plant and minimal true environment."""
+    """Partitioned plant, minimal true environment and their preexisting loop."""
     spec, assign = _network_at(cfg, k_c)
     G, env = partition(build_network(spec), spec, assign)
-    return G, minreal(env.sys)
+    env_min = minreal(env.sys)
+    return G, env_min, assemble_preexisting(G, env_min)
 
 
 def _apx_for(env_min, napx):
@@ -247,17 +257,22 @@ def _deflated_stable(T_zd):
     return bool(deflated_abscissa(T_zd) < STABILITY_TOL)
 
 
-def _sweep_point(G, env_min, apx, merr, k_c, napx, alpha):
-    """One performance row; synthesis failures produce a flagged row."""
+def _sweep_point(G, env_min, pre, apx, merr, k_c, napx, alpha):
+    """One performance row; a failed synthesis or analysis gives a flagged row."""
+    flagged = [k_c, napx, alpha, merr, np.nan, np.nan, np.nan, False, False, np.nan]
+    where = f"kc={k_c} napx={napx} alpha={alpha}"
     try:
         module, _ = hinf_synthesize(new_subsystem(G, apx), alpha)
     except (SynthesisError, NumericsError) as exc:
-        return (
-            [k_c, napx, alpha, merr, np.nan, np.nan, np.nan, False, False, np.nan],
-            f"synthesis failed at kc={k_c} napx={napx} alpha={alpha}: {exc}",
-        )
-    report = performance_bounds(G, env_min, apx, module)
-    direct = closed_loop_direct(G, env_min, direct_controller(G, module))
+        return flagged, f"synthesis failed at {where}: {exc}"
+    direct = closed_loop_direct(G, pre, direct_controller(G, module))
+    stage = "performance bounds"
+    try:
+        report = performance_bounds(G, env_min, apx, module)
+        stage = "direct-loop stability"
+        stable_direct = _deflated_stable(direct)
+    except (np.linalg.LinAlgError, NumericsError) as exc:
+        return flagged, f"{stage} failed at {where}: {exc}"
     row = [
         k_c,
         napx,
@@ -267,7 +282,7 @@ def _sweep_point(G, env_min, apx, merr, k_c, napx, alpha):
         report.gamma_hat,
         report.gamma_check,
         report.stable,
-        _deflated_stable(direct),
+        stable_direct,
         report.invariance_residual,
     ]
     return row, None
@@ -283,13 +298,13 @@ def cmd_sweep(cfg, out_dir, workers):
     error_rows = []
     tasks = []
     for k_c in kc_grid:
-        G, env_min = setups[k_c]
+        G, env_min, pre = setups[k_c]
         for napx in napx_grid:
             apx = _apx_for(env_min, napx)
             merr = hinf_norm(minreal(add(env_min, negate(apx))))
             error_rows.append([k_c, napx, merr])
             for alpha in alpha_grid:
-                tasks.append((G, env_min, apx, merr, k_c, napx, alpha))
+                tasks.append((G, env_min, pre, apx, merr, k_c, napx, alpha))
 
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
         results = list(pool.map(lambda task: _sweep_point(*task), tasks))
@@ -334,7 +349,7 @@ def cmd_sweep(cfg, out_dir, workers):
 
 
 def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
-    G, env_min = _environment_setup(cfg, k_c)
+    G, env_min, pre = _environment_setup(cfg, k_c)
     apx = _apx_for(env_min, napx)
     nz, ny, nw = G.S.shape[0], G.C.shape[0], G.Gamma.shape[0]
     dt = float(cfg["simulate"]["dt"])
@@ -357,7 +372,7 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
     d[0, 0] = 1.0 / dt  # impulse at the first disturbance channel
 
     if mode == "direct":
-        sys_out = closed_loop_direct(G, env_min, direct_controller(G, module))
+        sys_out = closed_loop_direct(G, pre, direct_controller(G, module))
         names = ("z",)
     else:
         if mode == "retrofit":

@@ -104,12 +104,13 @@ class PerformanceReport:
         return self.gamma_hat + self.gamma_check
 
 
-def _plant_with_env(G, env):
-    """States ``(x, x_env)``, inputs ``(d, u)``, outputs ``(z, y, w, v)``.
+def assemble_preexisting(G, env):
+    """The preexisting loop: ``G`` with the environment closed, ``v = env(w)``.
 
-    The one loop closed by hand: built through ``close_loop`` it costs
-    about four times as much, and a seed's ``run_all_checks`` builds it
-    448 times.
+    States ``(x, x_env)``, inputs ``(d, u)``, outputs ``(z, y, w, v)``: the
+    network before retrofit control, which the paper requires stable, and
+    the loop :func:`closed_loop_direct` closes.  Written by hand, since
+    through ``close_loop`` it costs about four times as much.
     """
     A, B_u, L, W, Gamma, S, C = G.A, G.B, G.L, G.W, G.Gamma, G.S, G.C
     Ae, Be, Ce, De = env.A, env.B, env.C, env.D
@@ -132,12 +133,6 @@ def _plant_with_env(G, env):
         ]
     )
     return StateSpace(Afull, Bfull, Cfull)
-
-
-def assemble_preexisting(G, env):
-    """Close the environment loop ``v = env(w)``; inputs ``(d, u)``, outputs ``(z, y)``."""
-    full = _plant_with_env(G, env)
-    return select(full, np.arange(G.S.shape[0] + G.C.shape[0]))
 
 
 _HIDE_TOL = 1e-7
@@ -233,8 +228,7 @@ def check_admissible(G, env):
     the evaluation output, which excuses rigid-body modes that the
     evaluation output cannot see.
     """
-    full = _plant_with_env(G, env)
-    dz = select(full, np.arange(G.S.shape[0]))
+    dz = select(assemble_preexisting(G, env), np.arange(G.S.shape[0]))
     return bool(deflated_abscissa(dz) < STABILITY_TOL)
 
 
@@ -248,7 +242,7 @@ def new_subsystem(G, apx):
     na = apx.n_states
     below, right = ((0, na), (0, 0)), ((0, 0), (0, na))
     return PartitionedPlant(
-        _plant_with_env(G, apx).A,
+        assemble_preexisting(G, apx).A,
         *(np.pad(M, below) for M in (G.B, G.L, G.W)),
         *(np.pad(M, right) for M in (G.Gamma, G.S, G.C)),
     )
@@ -291,7 +285,7 @@ def _design_loop(G, apx, mod):
             f"needs (y, w) -> u = {ny + nw} -> {nu}"
         )
     closed = close_loop(
-        _plant_with_env(G, apx), mod,
+        assemble_preexisting(G, apx), mod,
         np.arange(nd, nd + nu), np.arange(nz, nz + ny + nw),
     )
     return select(closed, np.r_[:nz, nz + ny:nz + ny + nw])
@@ -315,30 +309,32 @@ def compose_retrofit(G, apx, module):
     return series(extended_rectifier(G, apx), module)
 
 
-def closed_loop_direct(G, env, K):
-    """Interconnect plant, environment and controller; returns ``T_zd``.
+def closed_loop_direct(G, pre, K):
+    """Close ``K`` around the preexisting loop ``pre``; returns ``T_zd``.
 
-    ``K`` is any state-space controller mapping ``(y, w, v) -> u``, such
-    as the result of :func:`compose_retrofit` or :func:`direct_controller`.
-    The returned system keeps the full closed-loop state, hidden modes
+    ``pre`` is :func:`assemble_preexisting`'s loop of ``G`` and the true
+    environment, and ``K`` any state-space controller mapping
+    ``(y, w, v) -> u``, such as the result of :func:`compose_retrofit` or
+    :func:`direct_controller`; either of the wrong size is refused.  The
+    returned system keeps the full closed-loop state, hidden modes
     included: take a stability verdict with :func:`deflated_abscissa`, and
     deflate with :func:`lti.minreal` before a norm query.  The state is
     ``(x, x_env)`` then ``K``'s, ``(x_hat, x_apx, x_mod)`` for a retrofit ``K``.
     """
-    return _close_direct(G, _plant_with_env(G, env), K)
-
-
-def _close_direct(G, plantE, K):
-    """:func:`closed_loop_direct` on the prebuilt ``plantE = _plant_with_env(G, env)``."""
     nz, nd, nu = G.S.shape[0], G.W.shape[1], G.B.shape[1]
-    n_meas = plantE.n_outputs - nz  # (y, w, v) rows
+    n_meas = G.C.shape[0] + G.Gamma.shape[0] + G.L.shape[1]  # (y, w, v) rows
+    if pre.n_inputs != nd + nu or pre.n_outputs != nz + n_meas:
+        raise ValueError(
+            f"preexisting loop maps {pre.n_inputs} -> {pre.n_outputs}, expected "
+            f"(d, u) -> (z, y, w, v) = {nd + nu} -> {nz + n_meas}"
+        )
     if K.n_inputs != n_meas or K.n_outputs != nu:
         raise ValueError(
             f"controller maps {K.n_inputs} -> {K.n_outputs}, expected "
             f"{n_meas} -> {nu}"
         )
     closed = close_loop(
-        plantE,
+        pre,
         K,
         in_idx=np.arange(nd, nd + nu),
         out_idx=np.arange(nz, nz + n_meas),
@@ -373,7 +369,7 @@ def cascade_realization(G, env, apx, module):
     stabilize the design plant.
     """
     upstream = _design_loop(G, apx, module)
-    plantE = _plant_with_env(G, env)
+    pre = assemble_preexisting(G, env)
     L, Gamma = G.L, G.Gamma
     Ca, Da, na = apx.C, apx.D, apx.n_states
     Be, De, ne = env.B, env.D, env.n_states
@@ -388,9 +384,9 @@ def cascade_realization(G, env, apx, module):
             [Be @ Gamma, np.zeros((ne, na + nm))],
         ]
     )
-    A_all = _block([[upstream.A, np.zeros((n_up, n_dn))], [B_dn, plantE.A]])
+    A_all = _block([[upstream.A, np.zeros((n_up, n_dn))], [B_dn, pre.A]])
     B_all = np.vstack([upstream.B, np.zeros((n_dn, nd))])
-    Sz_up, Sz_dn = upstream.C[:nz, :], plantE.C[:nz, :]
+    Sz_up, Sz_dn = upstream.C[:nz, :], pre.C[:nz, :]
     C_all = _block(
         [
             [Sz_up, Sz_dn],

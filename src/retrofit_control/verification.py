@@ -8,6 +8,7 @@ admissible environment, and the performance-bound sandwich.  Thresholds and
 fixed sample sizes are constants.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +19,7 @@ from .numerics import NumericsError, hinf_norm, spectral_abscissa
 from .retrofit import (
     PartitionedPlant,
     STABILITY_TOL,
-    _close_direct,
     _entry_ratio,
-    _plant_with_env,
     assemble_preexisting,
     cascade_realization,
     closed_loop_direct,
@@ -179,13 +178,13 @@ def check_robust_stability(seed=0, n_env=50):
     rng = np.random.default_rng(seed)
     G = random_partitioned_plant(rng)
     # Each environment's preexisting loop is built once and closed with every K.
-    plants = [_plant_with_env(G, random_admissible_env(rng, G)) for _ in range(n_env)]
+    loops = [assemble_preexisting(G, random_admissible_env(rng, G)) for _ in range(n_env)]
     cases = []
     for ia in range(ROBUST_APX):
         module, apx = _verified_module(rng, G, random_apx(rng, G))
         K = compose_retrofit(G, apx, module)
-        for ie, plantE in enumerate(plants):
-            absc = deflated_abscissa(_close_direct(G, plantE, K))
+        for ie, pre in enumerate(loops):
+            absc = deflated_abscissa(closed_loop_direct(G, pre, K))
             cases.append((absc, {"seed": seed, "apx": ia, "env": ie}))
     stable = sum(absc < STABILITY_TOL for absc, _ in cases)
     return _verdict(
@@ -194,32 +193,30 @@ def check_robust_stability(seed=0, n_env=50):
     )
 
 
-def _designs(seed, n_cases):
-    """Sampled ``(G, env, apx, module)`` designs, each module verified."""
+def _designs(seed):
+    """Endless sampled ``(G, env, apx, module)`` designs, each module verified."""
     rng = np.random.default_rng(seed)
-    for _ in range(n_cases):
+    while True:
         G = random_partitioned_plant(rng)
         env = random_admissible_env(rng, G)
         module, apx = _verified_module(rng, G, random_apx(rng, G))
         yield G, env, apx, module
 
 
-def check_cascade_equivalence(seed=0, n_cases=DESIGN_CASES):
+def check_cascade_equivalence(seed, designs):
     """The direct loop, in the cascade's coordinates ``T``, is the cascade.
 
-    Each of ``T A_d - A_c T``, ``T B_d - B_c``, ``C_d - C_c T`` and
-    ``D_d - D_c``, split into upstream and downstream states, is measured
+    Over ``designs``, ``(G, env, apx, module)`` tuples; ``seed`` labels the
+    replay data.  Each of ``T A_d - A_c T``, ``T B_d - B_c``, ``C_d - C_c T``
+    and ``D_d - D_c``, split into upstream and downstream states, is measured
     against the cascade's block at its position (``_entry_ratio``), so a
     defect of the coupling ``B_dn`` reads its size relative to ``B_dn``;
     another state order fails.
     """
-    return _cascade_equivalence(seed, _designs(seed, n_cases))
-
-
-def _cascade_equivalence(seed, designs):
     cases = []
     for ic, (G, env, apx, module) in enumerate(designs):
-        d = closed_loop_direct(G, env, compose_retrofit(G, apx, module))
+        K = compose_retrofit(G, apx, module)
+        d = closed_loop_direct(G, assemble_preexisting(G, env), K)
         c = select(cascade_realization(G, env, apx, module), np.arange(G.S.shape[0]))
         sizes = np.cumsum([G.A.shape[0], env.n_states, G.A.shape[0], apx.n_states])
         x, x_env, x_hat, x_apx, x_mod = np.split(np.eye(d.n_states), sizes)
@@ -236,12 +233,8 @@ def _cascade_equivalence(seed, designs):
     return _verdict("cascade equivalence", CASCADE_TOL, cases)
 
 
-def check_bound_sandwich(seed=0, n_cases=DESIGN_CASES):
-    """|gamma_check - gamma_hat| <= ||T_zd|| <= gamma_hat + gamma_check."""
-    return _bound_sandwich(seed, _designs(seed, n_cases))
-
-
-def _bound_sandwich(seed, designs):
+def check_bound_sandwich(seed, designs):
+    """|gamma_check - gamma_hat| <= ||T_zd|| <= gamma_hat + gamma_check over ``designs``."""
     cases = []
     for ic, (G, env, apx, module) in enumerate(designs):
         report = performance_bounds(G, env, apx, module)
@@ -271,7 +264,7 @@ def run_all_checks(seed=0, fuzz_count=50):
     results = [check_kernel_identity(seed=seed)]
     if fuzz_count > 0:
         results.append(check_robust_stability(seed=seed, n_env=fuzz_count))
-    designs = list(_designs(seed, DESIGN_CASES))
-    results.append(_cascade_equivalence(seed, designs))
-    results.append(_bound_sandwich(seed, designs))
+    designs = list(itertools.islice(_designs(seed), DESIGN_CASES))
+    results.append(check_cascade_equivalence(seed, designs))
+    results.append(check_bound_sandwich(seed, designs))
     return results

@@ -14,7 +14,7 @@ def preset_design():
     1e4, against plant entries of order 1: the regime where a certificate
     scaled by the whole loop's largest entry misses a plant-sized defect.
     """
-    G, env = _environment_setup(DEFAULT_CONFIG, 10)
+    G, env, _ = _environment_setup(DEFAULT_CONFIG, 10)
     apx = _apx_for(env, 8)
     module, _ = hinf_synthesize(new_subsystem(G, apx), 0.2)
     return G, env, apx, module

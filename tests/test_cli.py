@@ -8,6 +8,7 @@ against the additivity of the evaluation signal.
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -298,6 +299,40 @@ class TestSweep:
         assert "normalized feedthrough products are not finite" in meta["warnings"][0]
         assert "synthesis failed" in capsys.readouterr().err
 
+    def test_failed_analysis_gives_flagged_row(self, tmp_path, capsys):
+        # At k_c 1e30 the ordered Schur form of the n_apx 0 row fails; that
+        # row is flagged with its stage and the sweep keeps every row.
+        cfg = _write_cfg(tmp_path / "cfg.json", kc_grid=[1e30], napx_grid=[0, 2])
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = _read_rows(out / "performance.csv")
+        assert [row["n_apx"] for row in rows] == ["0", "2"]
+        for row in rows:
+            assert np.isnan(float(row["gamma_actual"]))
+            assert row["stable_retrofit"] == row["stable_direct"] == "false"
+        warnings = json.loads((out / "sweep_metadata.json").read_text())["warnings"]
+        assert re.match(
+            r"(performance bounds|direct-loop stability) failed at kc=1e\+30 napx=0 "
+            r"alpha=0.2: ", warnings[0],
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: {warning}" for warning in warnings]
+
+    def test_failed_direct_verdict_gives_flagged_row(self, tmp_path, monkeypatch):
+        def fail(T_zd):
+            raise np.linalg.LinAlgError("no Schur form")
+
+        monkeypatch.setattr(cli, "_deflated_stable", fail)
+        cfg = _write_cfg(tmp_path / "cfg.json")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads((out / "sweep_metadata.json").read_text())
+        assert meta["warnings"] == [
+            "direct-loop stability failed at kc=3 napx=0 alpha=0.2: no Schur form"
+        ]
+        (row,) = _read_rows(out / "performance.csv")
+        assert np.isnan(float(row["gamma_actual"]))
+
     def test_known_keys_load(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.json", seed=6, network="paper-benchmark")
         loaded = load_config(str(cfg))
@@ -439,6 +474,32 @@ class TestSimulate:
         assert exc.value.code == 2
         assert f"argument {flag}: must be" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize(
+        "sim", [{"dt": 1e-310}, {"dt": 1e-12, "t_final": 1e6}], ids=["dt-underflow", "huge"]
+    )
+    def test_sample_count_refused_in_one_line(self, tmp_path, sim):
+        # round(t_final / dt) + 1 samples: infinite, or 1e18 rows that no
+        # memory holds; refused before the network is built.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": 1, "simulate": sim}))
+        out = tmp_path / "sim"
+        proc = _run("simulate", "--config", str(cfg), "--kc", "10", "--napx", "8",
+                    "--alpha", "0.2", "--out", str(out), check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("retrofit-ctl: error: simulate dt ")
+        assert not out.exists()
+
+    def test_sample_cap_is_inclusive(self, tmp_path):
+        cap = cli._MAX_SAMPLES
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulate": {"dt": 1.0, "t_final": cap - 1}}))
+        assert load_config(cfg)["simulate"]["t_final"] == cap - 1
+        cfg.write_text(json.dumps({"simulate": {"dt": 1.0, "t_final": cap}}))
+        with pytest.raises(ValueError, match=f"more than {cap} samples"):
+            load_config(cfg)
 
 
 class TestVerify:

@@ -451,7 +451,7 @@ class TestDesignLoop:
 
 
 class TestWrongSize:
-    """A wrongly sized environment or model is refused with a ValueError."""
+    """Wrongly sized environments, models, loops and controllers raise ValueError."""
 
     @staticmethod
     def _bad_models():
@@ -488,6 +488,30 @@ class TestWrongSize:
             with pytest.raises(ValueError, match="maps"):
                 call(G, good, bad, mod, K)
 
+    def test_closed_loop_direct_refuses_environment_for_loop(self):
+        # The old call form closed_loop_direct(G, env, K), and the (z, y)
+        # rows alone, are not the (d, u) -> (z, y, w, v) loop.
+        G, _ = _plant(seed=19)
+        nu, ny, nw, nv = G.B.shape[1], G.C.shape[0], G.Gamma.shape[0], G.L.shape[1]
+        env = StateSpace.zero(nv, nw)
+        K = StateSpace.zero(nu, ny + nw + nv)
+        pre = assemble_preexisting(G, env)
+        for wrong in (env, select(pre, np.arange(G.S.shape[0] + ny))):
+            msg = rf"preexisting loop maps {wrong.n_inputs} -> {wrong.n_outputs}, expected"
+            with pytest.raises(ValueError, match=msg):
+                closed_loop_direct(G, wrong, K)
+        assert closed_loop_direct(G, pre, K).n_outputs == G.S.shape[0]
+
+    def test_closed_loop_direct_refuses_wrong_size_controller(self):
+        G, _ = _plant(seed=19)
+        nu, ny, nw, nv = G.B.shape[1], G.C.shape[0], G.Gamma.shape[0], G.L.shape[1]
+        pre = assemble_preexisting(G, StateSpace.zero(nv, nw))
+        for bad in self._bad_models():
+            msg = (rf"controller maps {bad.n_inputs} -> {bad.n_outputs}, "
+                   rf"expected {ny + nw + nv} -> {nu}")
+            with pytest.raises(ValueError, match=msg):
+                closed_loop_direct(G, pre, bad)
+
 
 class TestCascade:
     def test_equivalence_with_direct_loop(self):
@@ -500,7 +524,8 @@ class TestCascade:
                 module = lqg_module(new_subsystem(G, apx))
             except Exception:
                 continue
-            direct = closed_loop_direct(G, env, compose_retrofit(G, apx, module))
+            K = compose_retrofit(G, apx, module)
+            direct = closed_loop_direct(G, assemble_preexisting(G, env), K)
             casc = cascade_realization(G, env, apx, module)
             T_zd = select(casc, np.arange(G.S.shape[0]))
             # Point by point, independent of the state-space certificate.

@@ -13,10 +13,12 @@ fail.  The cascade check must also resolve a relative perturbation of
 the same transfer matrix whose downstream states are swapped, and must
 fail on a 1e-3 relative perturbation of that block on the preset design,
 whose module gains dwarf the block.  A suite samples the designs of the
-cascade and sandwich checks once, and both read as they do alone.
+cascade and sandwich checks once, and both read as they do alone on that
+sample.
 """
 
 import dataclasses
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -36,6 +38,11 @@ from retrofit_control.verification import (
 
 N_CASES = 3
 N_ENV = 10
+
+
+def _sample(seed=0, n=N_CASES):
+    """The first ``n`` designs of ``seed``, as a suite samples them."""
+    return list(islice(verification._designs(seed), n))
 
 
 def _scaled_coupling(casc, n_dn, factor=1.5):
@@ -81,7 +88,7 @@ class TestKernelIdentity:
 
 class TestCascadeEquivalence:
     def test_passes(self):
-        assert check_cascade_equivalence(seed=0, n_cases=N_CASES).passed
+        assert check_cascade_equivalence(0, _sample()).passed
 
     @pytest.mark.parametrize("seed", [10, 70])
     def test_passes_on_gain_tie_at_zero_frequency(self, seed):
@@ -89,7 +96,8 @@ class TestCascadeEquivalence:
         # gain tie at w = 0.  The check takes no norm now;
         # tests/test_numerics.py::test_gain_tie_at_zero_frequency covers the
         # tie.
-        assert check_cascade_equivalence(seed=seed).passed
+        designs = _sample(seed, verification.DESIGN_CASES)
+        assert check_cascade_equivalence(seed, designs).passed
 
     def test_fails_on_perturbed_coupling(self, monkeypatch):
         real = verification.cascade_realization
@@ -99,7 +107,7 @@ class TestCascadeEquivalence:
                 real(G, env, apx, module), G.A.shape[0] + env.n_states
             ),
         )
-        res = check_cascade_equivalence(seed=0, n_cases=N_CASES)
+        res = check_cascade_equivalence(0, _sample())
         assert not res.passed
         assert res.worst > 1e3 * res.tol
 
@@ -114,7 +122,7 @@ class TestCascadeEquivalence:
                 real(G, env, apx, module), G.A.shape[0] + env.n_states, 1 + 1e-9
             ),
         )
-        res = check_cascade_equivalence(seed=0, n_cases=N_CASES)
+        res = check_cascade_equivalence(0, _sample())
         assert res.passed
         assert 0.5e-9 <= res.worst <= 2e-9
 
@@ -124,10 +132,7 @@ class TestCascadeEquivalence:
         # B_dn scaled by 1 + 1e-3 on a design whose module entries reach
         # 1e4: the gap is measured against B_dn itself, so it reads
         # 1e-3 / (1 + 1e-3) instead of vanishing under the module's scale.
-        monkeypatch.setattr(
-            verification, "_designs", lambda seed, n_cases: iter([preset_design])
-        )
-        assert check_cascade_equivalence().passed
+        assert check_cascade_equivalence(0, [preset_design]).passed
         real = verification.cascade_realization
         monkeypatch.setattr(
             verification, "cascade_realization",
@@ -135,7 +140,7 @@ class TestCascadeEquivalence:
                 real(G, env, apx, module), G.A.shape[0] + env.n_states, 1 + 1e-3
             ),
         )
-        res = check_cascade_equivalence()
+        res = check_cascade_equivalence(0, [preset_design])
         assert not res.passed
         assert res.worst == pytest.approx(1e-3 / (1 + 1e-3), rel=1e-6)
 
@@ -149,14 +154,14 @@ class TestCascadeEquivalence:
                 real(G, env, apx, module), G.A.shape[0] + env.n_states
             ),
         )
-        res = check_cascade_equivalence(seed=0, n_cases=N_CASES)
+        res = check_cascade_equivalence(0, _sample())
         assert not res.passed
         assert res.worst > 1e3 * res.tol
 
 
 class TestBoundSandwich:
     def test_passes(self):
-        assert check_bound_sandwich(seed=0, n_cases=N_CASES).passed
+        assert check_bound_sandwich(0, _sample()).passed
 
     def test_fails_without_gap_term(self, monkeypatch):
         real = verification.performance_bounds
@@ -164,7 +169,7 @@ class TestBoundSandwich:
             verification, "performance_bounds",
             lambda *args: dataclasses.replace(real(*args), gamma_check=0.0),
         )
-        res = check_bound_sandwich(seed=0, n_cases=N_CASES)
+        res = check_bound_sandwich(0, _sample())
         assert not res.passed
         assert res.worst > 1e3 * res.tol
 
@@ -173,12 +178,12 @@ class TestBoundSandwich:
             verification, "performance_bounds",
             lambda *args: PerformanceReport(np.nan, np.nan, np.nan, False, 0.0),
         )
-        res = check_bound_sandwich(seed=0, n_cases=N_CASES)
+        res = check_bound_sandwich(0, _sample())
         assert not res.passed
         assert res.cases == 1
         assert "over 1 cases" in res.line()
         # A check that evaluated no case fails.
-        res = check_bound_sandwich(seed=0, n_cases=0)
+        res = check_bound_sandwich(0, [])
         assert not res.passed
         assert res.cases == 0
         assert res.detail == "no case evaluated"
@@ -191,14 +196,15 @@ class TestSharedDesigns:
         # read as they do alone.
         real, calls = verification._designs, []
 
-        def counted(seed, n_cases):
-            calls.append((seed, n_cases))
-            return real(seed, n_cases)
+        def counted(seed):
+            calls.append(seed)
+            return real(seed)
 
         monkeypatch.setattr(verification, "_designs", counted)
         shared = verification.run_all_checks(seed=seed)[2:]
-        assert calls == [(seed, verification.DESIGN_CASES)]
-        alone = [check_cascade_equivalence(seed=seed), check_bound_sandwich(seed=seed)]
+        assert calls == [seed]
+        designs = list(islice(real(seed), verification.DESIGN_CASES))
+        alone = [check_cascade_equivalence(seed, designs), check_bound_sandwich(seed, designs)]
         for got, want in zip(shared, alone, strict=True):
             assert got.line() == want.line()
             assert repr(got.worst) == repr(want.worst)
