@@ -263,7 +263,7 @@ def _sweep_point(G, env_min, pre, apx, merr, k_c, napx, alpha):
     where = f"kc={k_c} napx={napx} alpha={alpha}"
     try:
         module, _ = hinf_synthesize(new_subsystem(G, apx), alpha)
-    except (SynthesisError, NumericsError) as exc:
+    except (SynthesisError, NumericsError, np.linalg.LinAlgError) as exc:
         return flagged, f"synthesis failed at {where}: {exc}"
     direct = closed_loop_direct(G, pre, direct_controller(G, module))
     stage = "performance bounds"
@@ -361,7 +361,7 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
     if mode in ("retrofit", "direct"):
         try:
             module, meta["achieved_gamma"] = hinf_synthesize(new_subsystem(G, apx), alpha)
-        except (SynthesisError, NumericsError) as exc:
+        except (SynthesisError, NumericsError, np.linalg.LinAlgError) as exc:
             print(f"synthesis failed at kc={k_c} napx={napx} alpha={alpha}: {exc}",
                   file=sys.stderr)
             return 1

@@ -302,11 +302,10 @@ def _controllable_basis(A, B, floor):
         if resid.size == 0:
             break
         U, s, _ = np.linalg.svd(resid, full_matrices=False)
-        ref = max(
-            s[0] if s.size else 0.0,
-            np.linalg.norm(frontier, 2) if frontier.size else 0.0,
-            1e-300,
-        )
+        # ||frontier||_2 from its k x k Gram matrix, not a second SVD; the
+        # break above leaves the frontier nonempty.
+        top = np.sqrt(np.linalg.eigvalsh(frontier.T @ frontier)[-1])
+        ref = max(s[0], top, 1e-300)
         keep = s > max(_MINREAL_TOL * ref, floor)
         if not np.any(keep):
             break

@@ -5,8 +5,8 @@ Lyapunov solver, the Riccati solver, the frequency-response core (batched
 LU, or one banded solve per point for a large upper Hessenberg realization),
 and the L-infinity / H-infinity norm by a level-set iteration with
 gain-witnessed imaginary-axis crossings, whose witness is refined to a
-local peak before each Hamiltonian eigensolve; a large realization is
-reduced to Hessenberg form once per norm.
+local peak before each Hamiltonian eigensolve; a large realization that
+is not upper Hessenberg already is reduced to that form once per norm.
 All routines operate on plain numpy arrays and are pure functions.
 """
 
@@ -179,7 +179,7 @@ def _freq_eval(A, B, C, D, w):
     Each point is bit-equal to its own evaluation.  When ``A`` is upper
     Hessenberg and large enough for ``_banded``, each point is one banded
     LU solve with partial pivoting (LAPACK ``zgbsv``, one subdiagonal),
-    O(n^2) where a dense LU is O(n^3) (Laub 1981); ``hinf_norm`` reduces
+    O(n^2) where a dense LU is O(n^3) (Laub 1981); ``hinf_norm`` brings
     its realization to that form once.  Every other system gets batched
     LU solves of at most ``_FREQ_BATCH`` complex entries.  No pole guard:
     an exactly singular point raises ``LinAlgError`` on either path.
@@ -335,15 +335,17 @@ def hinf_norm(sys, tol=1e-6):
     ``lo``.  When no gain exceeds the level, the norm lies in
     ``[lo, lo * (1 + tol)]`` and the midpoint is returned.  A realization
     large enough for ``_freq_eval``'s banded path is reduced to upper
-    Hessenberg form once on entry, so the poles, the probes, the
-    Hamiltonians and every gain of the norm use that one form, and each
-    gain costs O(n^2).
+    Hessenberg form once on entry, unless ``A`` is upper Hessenberg
+    already (a block of a real Schur form is), so the poles, the probes,
+    the Hamiltonians and every gain of the norm use that one form, and
+    each gain costs O(n^2).
 
     Parameters
     ----------
     sys : object with A, B, C, D attributes
-        State-space realization.  Must have no imaginary-axis poles
-        (run a minimal realization first if needed).
+        State-space realization.  Must have no imaginary-axis poles: a
+        minimal realization, or a deflated one whose marginal modes were
+        split off, such as ``retrofit._deflate`` returns.
     tol : float
         Relative width of the final bracket.
     """
@@ -352,7 +354,7 @@ def hinf_norm(sys, tol=1e-6):
     C = np.asarray(sys.C, dtype=float)
     D = np.asarray(sys.D, dtype=float)
     n = A.shape[0]
-    if _banded(n):
+    if _banded(n) and np.any(np.tril(A, -2)):
         # One Hessenberg form serves every frequency point of this norm.
         A, Q = scipy.linalg.hessenberg(A, calc_q=True)
         B, C = Q.T @ B, C @ Q

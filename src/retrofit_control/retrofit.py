@@ -16,6 +16,7 @@ certificates in the paper's coordinates ``e = x - x_hat``.
 """
 
 import functools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,7 +24,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dgees
 
 from .lti import StateSpace, close_loop, minreal, select, series
-from .numerics import _block, hinf_norm, spectral_abscissa
+from .numerics import _IMAG_TOL, _block, hinf_norm, spectral_abscissa
 
 __all__ = [
     "PartitionedPlant",
@@ -146,12 +147,14 @@ def _dgees_lwork(n):
 
 def _ordered_schur(A):
     """``scipy.linalg.schur(A, output="real", sort=...)`` with the marginal
-    modes (real part >= STABILITY_TOL) first, through the same LAPACK call.
+    modes first, through the same LAPACK call: real part >= -1e-9 (1 +
+    |lambda|), every mode ``hinf_norm`` counts as on the axis or right of it.
 
     Returns ``(T, Z, k)``, ``k`` the number of marginal modes.
     """
     T, k, _, _, Z, _, info = dgees(
-        lambda re, im: re >= STABILITY_TOL, A, lwork=_dgees_lwork(A.shape[0]), sort_t=1
+        lambda re, im: re >= -_IMAG_TOL * (1.0 + math.hypot(re, im)), A,
+        lwork=_dgees_lwork(A.shape[0]), sort_t=1,
     )
     if info:
         raise np.linalg.LinAlgError(f"ordered real Schur form failed (dgees info {info})")
@@ -161,16 +164,18 @@ def _ordered_schur(A):
 def _deflate(sys):
     """Deflated spectral abscissa and the system without its hidden marginal modes.
 
-    The modes with real part >= STABILITY_TOL are decoupled from the
-    strictly stable rest by an exact similarity: an ordered real Schur form
-    and a Sylvester solve.  A split-off mode is visible when it is both
-    controllable and observable, relative to the input/output coupling
-    scale, above ``_HIDE_TOL``.  Returns the largest of the remainder's
-    abscissa and the visible modes' real parts, together with the
-    remainder as a system, or ``sys`` itself when some split-off mode is
-    visible.  The remainder's abscissa is the largest diagonal entry of its
-    block of the Schur form, since LAPACK standardizes a 2 x 2 block to hold
-    the real part on its diagonal.
+    The marginal modes (``_ordered_schur``'s band, which holds every real
+    part >= STABILITY_TOL) are decoupled from the strictly stable rest by
+    an exact similarity: an ordered real Schur form and a Sylvester solve.
+    A split-off mode is visible when it is both controllable and
+    observable, relative to the input/output coupling scale, above
+    ``_HIDE_TOL``.  Returns the largest of the remainder's abscissa and the
+    visible modes' real parts, together with the remainder as a system, or
+    ``sys`` itself when no mode splits off or some split-off mode is
+    visible.  A remainder's state matrix is its block of the Schur form,
+    upper quasi-triangular and with no pole ``hinf_norm`` refuses; its
+    abscissa is the largest diagonal entry, since LAPACK standardizes a
+    2 x 2 block to hold the real part on its diagonal.
     """
     n = sys.n_states
     if n == 0:
@@ -212,10 +217,10 @@ def _deflate(sys):
 def deflated_abscissa(sys):
     """Spectral abscissa after excusing modes hidden from the i/o behavior.
 
-    Modes with real part >= ``-1e-9`` are decoupled exactly and excused
-    when they are uncontrollable from the inputs or unobservable from the
-    outputs (relative measure below ``1e-7``); the remaining visible
-    dynamics determine the verdict.
+    Modes with real part >= ``-1e-9 (1 + |lambda|)`` are decoupled exactly
+    and excused when they are uncontrollable from the inputs or unobservable
+    from the outputs (relative measure below ``1e-7``); the remaining
+    visible dynamics determine the verdict.
     """
     return _deflate(sys)[0]
 
@@ -317,8 +322,9 @@ def closed_loop_direct(G, pre, K):
     ``(y, w, v) -> u``, such as the result of :func:`compose_retrofit` or
     :func:`direct_controller`; either of the wrong size is refused.  The
     returned system keeps the full closed-loop state, hidden modes
-    included: take a stability verdict with :func:`deflated_abscissa`, and
-    deflate with :func:`lti.minreal` before a norm query.  The state is
+    included: take a stability verdict with :func:`deflated_abscissa`; a
+    norm needs the hidden marginal modes removed first, as
+    :func:`performance_bounds` does with that verdict's split.  The state is
     ``(x, x_env)`` then ``K``'s, ``(x_hat, x_apx, x_mod)`` for a retrofit ``K``.
     """
     nz, nd, nu = G.S.shape[0], G.W.shape[1], G.B.shape[1]
@@ -486,7 +492,9 @@ def performance_bounds(G, env, apx, module):
     of a bracket of relative width ``1e-8`` whose lower end is an attained
     gain.  The cascade is deflated once, for all its rows: a marginal mode
     is excused only when it is hidden from ``z``, ``z_hat`` and ``z_check``
-    alike.  The controller is
+    alike.  The achieved norm and the gap term are the norms of its ``z``
+    and ``z_check`` rows as deflated, the assumed level that of a minimal
+    realization of the design loop.  The controller is
     :func:`compose_retrofit`'s, so a module that it refuses is refused here
     with the same ``ValueError``.
     """
@@ -500,9 +508,9 @@ def performance_bounds(G, env, apx, module):
     up_hat = select(_design_loop(G, apx, module), np.arange(nz))
     down_check = select(casc, np.arange(2 * nz, 3 * nz))
     return PerformanceReport(
-        hinf_norm(minreal(tz), tol=_NORM_TOL),
+        hinf_norm(tz, tol=_NORM_TOL),
         hinf_norm(minreal(up_hat), tol=_NORM_TOL),
-        hinf_norm(minreal(down_check), tol=_NORM_TOL),
+        hinf_norm(down_check, tol=_NORM_TOL),
         True,
         residual,
     )

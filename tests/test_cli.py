@@ -318,6 +318,23 @@ class TestSweep:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"warning: {warning}" for warning in warnings]
 
+    def test_failed_synthesis_solve_gives_flagged_row(self, tmp_path, capsys):
+        # At k_c 1e9 the Riccati solve's ordered Schur form raises LinAlgError
+        # inside hinf_synthesize on the n_apx 2 row; that row is flagged with
+        # its stage and the n_apx 0 row is kept.
+        cfg = _write_cfg(tmp_path / "cfg.json", kc_grid=[1e9], napx_grid=[0, 2])
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = _read_rows(out / "performance.csv")
+        assert [row["n_apx"] for row in rows] == ["0", "2"]
+        assert np.isnan(float(rows[1]["gamma_actual"]))
+        assert rows[1]["stable_retrofit"] == rows[1]["stable_direct"] == "false"
+        warnings = json.loads((out / "sweep_metadata.json").read_text())["warnings"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("synthesis failed at kc=1000000000.0 napx=2 alpha=0.2: ")
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: {warning}" for warning in warnings]
+
     def test_failed_direct_verdict_gives_flagged_row(self, tmp_path, monkeypatch):
         def fail(T_zd):
             raise np.linalg.LinAlgError("no Schur form")
@@ -355,6 +372,24 @@ class TestSweep:
             assert proc.returncode == 0, proc.stderr
         rows = _read_rows(outs["1"] / "performance.csv")
         assert len(rows) == 4
+        for name in ("errors.csv", "performance.csv"):
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+    def test_rows_independent_of_blas_thread_count(self, tmp_path):
+        # The row whose gamma_check peaks at an ill-conditioned DC gain; its
+        # norms must not depend on how many threads the BLAS runs.
+        cfg = _write_cfg(tmp_path / "cfg.json", kc_grid=[1], napx_grid=[12],
+                         alpha_grid=[0.01])
+        outs = {}
+        for threads in ("1", "2"):
+            outs[threads] = tmp_path / f"b{threads}"
+            proc = subprocess.run(
+                CLI + ["sweep", "--config", str(cfg), "--out", str(outs[threads])],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                     "OMP_NUM_THREADS": threads, "RETROFIT_CTL_THREADS": "1"},
+            )
+            assert proc.returncode == 0, proc.stderr
         for name in ("errors.csv", "performance.csv"):
             assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
 
@@ -445,6 +480,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "synthesis failed at kc=2.0 napx=0 alpha=1e-160: " in err
         assert "not finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["retrofit", "direct"])
+    def test_synthesis_solve_failure_reported(self, tmp_path, capsys, mode):
+        # At k_c 1e9 a Riccati solve's ordered Schur form raises LinAlgError
+        # inside synthesis; simulate reports it in one line, as above.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": 1}))
+        out = tmp_path / "sim"
+        code = main(["simulate", "--config", str(cfg), "--kc", "1e9", "--napx", "2",
+                     "--alpha", "0.2", "--mode", mode, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("synthesis failed at kc=1000000000.0 napx=2 alpha=0.2: ")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from retrofit_control import (
     direct_controller,
     extended_rectifier,
     freq_response,
+    hinf_norm,
     invariance_residual,
     kernel_residual,
     lqg_module,
@@ -41,6 +42,7 @@ from retrofit_control import (
     series,
     spectral_abscissa,
 )
+from retrofit_control.numerics import _IMAG_TOL
 from retrofit_control.retrofit import STABILITY_TOL, _deflate, _ordered_schur
 from retrofit_control.verification import (
     random_admissible_env,
@@ -305,6 +307,34 @@ class TestDeflation:
         assert deflated_abscissa(sys) >= -1e-12
         assert _deflate(sys)[1].n_states == 2
 
+    @pytest.mark.parametrize("n", [6, 50])
+    def test_hidden_mode_inside_axis_band_split_off_for_the_norm(self, n):
+        # An uncontrollable pair at -5e-9 +- 10j drives a stable rest, behind
+        # a random rotation.  hinf_norm refuses the pair as on the axis, so
+        # the split must take it for the deflated norm to exist.  The oracle
+        # is the rest as built, which realizes the same transfer matrix;
+        # minreal is none, since from 20 states on it keeps this pair.  At
+        # 50 states the deflated norm takes the banded path on the Schur
+        # block itself, with no Hessenberg reduction.
+        rng = np.random.default_rng(26)
+        A = np.zeros((n, n))
+        A[:2, :2] = [[-5e-9, 10.0], [-10.0, -5e-9]]
+        A[2:, :2] = rng.standard_normal((n - 2, 2))
+        A[2:, 2:] = rng.standard_normal((n - 2, n - 2)) / np.sqrt(n) - 2.0 * np.eye(n - 2)
+        B = np.vstack([np.zeros((2, 2)), rng.standard_normal((n - 2, 2))])
+        C = rng.standard_normal((2, n))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        sys = StateSpace(Q @ A @ Q.T, Q @ B, C @ Q.T)
+        with pytest.raises(NumericsError, match="imaginary axis"):
+            hinf_norm(sys)
+        abscissa, reduced = _deflate(sys)
+        assert abscissa < STABILITY_TOL
+        assert reduced.n_states == n - 2
+        rest = StateSpace(A[2:, 2:], B[2:], C[:, 2:])
+        assert hinf_norm(reduced, tol=1e-8) == pytest.approx(
+            hinf_norm(rest, tol=1e-8), rel=2e-8
+        )
+
     def test_stable_system_untouched(self):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((4, 4)) - 3.0 * np.eye(4)
@@ -321,8 +351,12 @@ class TestDeflation:
             ([[[0.5]], [[1.0]], [[0.1, 1.0], [-1.0, 0.1]]], 4),
             ([[[0.0]], [[-1.0]], [[-2.0, 3.0], [-3.0, -2.0]]], 1),
             ([[[0.0]]], 1),
+            # -5e-9 +- 10j is below STABILITY_TOL but inside the band
+            # hinf_norm counts as on the axis, -1e-9 (1 + |lambda|).
+            ([[[-1.0]], [[-5e-9, 10.0], [-10.0, -5e-9]], [[-2.0]]], 2),
         ],
-        ids=["none-marginal", "some-marginal", "all-marginal", "zero-eigenvalue", "zero-1x1"],
+        ids=["none-marginal", "some-marginal", "all-marginal", "zero-eigenvalue", "zero-1x1",
+             "inside-axis-band"],
     )
     def test_ordered_schur_is_scipy_schur(self, blocks, k):
         # The direct LAPACK call must give scipy.linalg.schur's (T, Z, k) in
@@ -334,7 +368,8 @@ class TestDeflation:
         for A in (V @ J @ np.linalg.inv(V), J):
             T, Z, got_k = _ordered_schur(A)
             Ts, Zs, ks = scipy.linalg.schur(
-                A, output="real", sort=lambda re, im: re >= STABILITY_TOL
+                A, output="real",
+                sort=lambda re, im: re >= -_IMAG_TOL * (1.0 + abs(complex(re, im))),
             )
             assert got_k == ks == k
             assert T.tobytes() == Ts.tobytes()
