@@ -1,7 +1,11 @@
 """Dense matrix computations shared by the rest of the library.
 
 Eigenvalue-based stability tests, matrix exponentials, the Bartels-Stewart
-Lyapunov solver, the Riccati solver, the frequency-response core (batched
+Lyapunov solver, the Riccati solver (one ordered real Schur form of the
+Hamiltonian gives both the stable subspace and the eigenvalues of its
+imaginary-axis guard; it refuses, in this order, a form LAPACK cannot find,
+an eigenvalue on the axis, a reordering LAPACK cannot complete and a stable
+subspace of the wrong dimension), the frequency-response core (batched
 LU, or one banded solve per point for a large upper Hessenberg realization),
 and the L-infinity / H-infinity norm by a level-set iteration with
 gain-witnessed imaginary-axis crossings, whose witness is refined to a
@@ -10,9 +14,11 @@ is not upper Hessenberg already is reduced to that form once per norm.
 All routines operate on plain numpy arrays and are pure functions.
 """
 
+import functools
+
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import zgbsv as _zgbsv
+from scipy.linalg.lapack import dgees as _dgees, zgbsv as _zgbsv
 
 __all__ = [
     "spectral_abscissa",
@@ -59,6 +65,27 @@ def _block(rows):
     recursive checks: each row is joined along the columns, then the rows
     are stacked.  Blocks that do not line up raise ``ValueError``."""
     return np.concatenate([np.concatenate(row, axis=1) for row in rows])
+
+
+@functools.lru_cache(maxsize=None)
+def _dgees_lwork(n):
+    """Optimal ``dgees`` workspace for order ``n``, which depends on ``n`` only."""
+    return int(_dgees(lambda re, im: None, np.zeros((n, n)), lwork=-1)[-2][0])
+
+
+def _schur(A, select):
+    """Real Schur form of ``A`` with the eigenvalues ``select(re, im)`` takes first.
+
+    The LAPACK ``dgees`` call that ``scipy.linalg.schur(A, output="real",
+    sort=select)`` makes, bit for bit, with the workspace size cached per
+    order.  Returns ``(T, Z, sdim, eigs, info)``: ``sdim`` selected
+    eigenvalues lead, ``eigs`` is ``wr + i wi`` as LAPACK reports it, and
+    ``info`` is LAPACK's, left for the caller to check.
+    """
+    T, sdim, wr, wi, Z, _, info = _dgees(
+        select, A, lwork=_dgees_lwork(A.shape[0]), sort_t=1
+    )
+    return T, Z, sdim, wr + 1j * wi, info
 
 
 def spectral_abscissa(A):
@@ -116,7 +143,14 @@ def solve_riccati(A, S, Q):
     ``S`` and ``Q`` are symmetric but need not be sign definite, which is
     what the H-infinity Riccati equations require.  The solution is taken
     from the stable invariant subspace of the associated 2n x 2n
-    Hamiltonian matrix via an ordered real Schur decomposition.
+    Hamiltonian matrix via one ordered real Schur decomposition, the stable
+    eigenvalues first (Laub 1979).  Its refusals, in order: a Schur form
+    LAPACK could not find raises ``LinAlgError``; an eigenvalue of that
+    form within ``1e-9`` of the imaginary axis, relative to the largest,
+    raises ``NumericsError``; a reordering LAPACK could not complete raises
+    ``LinAlgError`` with ``scipy.linalg.schur``'s message; a stable
+    subspace of the wrong dimension, or one that is not a graph, raises
+    ``NumericsError``.
     """
     A = _as_square(A)
     S = _as_square(S, "S")
@@ -126,15 +160,19 @@ def solve_riccati(A, S, Q):
         return np.zeros((0, 0))
 
     H = _block([[A, -S], [-Q, -A.T]])
-    eigs = np.linalg.eigvals(H)
+    _, Z, sdim, eigs, info = _schur(H, lambda re, im: re < 0.0)
+    if info not in (0, 2 * n + 1, 2 * n + 2):
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     scale = max(1.0, np.max(np.abs(eigs)))
     if np.min(np.abs(eigs.real)) <= _IMAG_TOL * scale:
         raise NumericsError(
             "Hamiltonian matrix has eigenvalues on the imaginary axis; "
             "no stabilizing Riccati solution exists"
         )
-
-    _, Z, sdim = scipy.linalg.schur(H, output="real", sort="lhp")
+    if info == 2 * n + 1:
+        raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
+    if info == 2 * n + 2:
+        raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
     if sdim != n:
         raise NumericsError(
             f"stable invariant subspace has dimension {sdim}, expected {n}"

@@ -15,16 +15,14 @@ sandwich the achieved norm.  The kernel and invariance residuals are exact
 certificates in the paper's coordinates ``e = x - x_hat``.
 """
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgees
+from scipy.linalg.lapack import dtrsyl
 
 from .lti import StateSpace, close_loop, minreal, select, series
-from .numerics import _IMAG_TOL, _block, hinf_norm, spectral_abscissa
+from .numerics import _IMAG_TOL, _block, _schur, hinf_norm, spectral_abscissa
 
 __all__ = [
     "PartitionedPlant",
@@ -139,22 +137,15 @@ def assemble_preexisting(G, env):
 _HIDE_TOL = 1e-7
 
 
-@functools.lru_cache(maxsize=None)
-def _dgees_lwork(n):
-    """Optimal ``dgees`` workspace for order ``n``, which depends on ``n`` only."""
-    return int(dgees(lambda re, im: None, np.zeros((n, n)), lwork=-1)[-2][0])
-
-
 def _ordered_schur(A):
     """``scipy.linalg.schur(A, output="real", sort=...)`` with the marginal
-    modes first, through the same LAPACK call: real part >= -1e-9 (1 +
+    modes first, through ``numerics._schur``: real part >= -1e-9 (1 +
     |lambda|), every mode ``hinf_norm`` counts as on the axis or right of it.
 
     Returns ``(T, Z, k)``, ``k`` the number of marginal modes.
     """
-    T, k, _, _, Z, _, info = dgees(
-        lambda re, im: re >= -_IMAG_TOL * (1.0 + math.hypot(re, im)), A,
-        lwork=_dgees_lwork(A.shape[0]), sort_t=1,
+    T, Z, k, _, info = _schur(
+        A, lambda re, im: re >= -_IMAG_TOL * (1.0 + math.hypot(re, im))
     )
     if info:
         raise np.linalg.LinAlgError(f"ordered real Schur form failed (dgees info {info})")
@@ -166,7 +157,9 @@ def _deflate(sys):
 
     The marginal modes (``_ordered_schur``'s band, which holds every real
     part >= STABILITY_TOL) are decoupled from the strictly stable rest by
-    an exact similarity: an ordered real Schur form and a Sylvester solve.
+    an exact similarity: an ordered real Schur form and a Sylvester solve
+    on its two diagonal blocks, which LAPACK ``trsyl`` takes as they are
+    (Bartels & Stewart 1972), with no second factorization.
     A split-off mode is visible when it is both controllable and
     observable, relative to the input/output coupling scale, above
     ``_HIDE_TOL``.  Returns the largest of the remainder's abscissa and the
@@ -194,7 +187,11 @@ def _deflate(sys):
         A11, B1, C1 = T, Bt, Ct
     else:
         A11, A12, A22 = T[:k, :k], T[:k, k:], T[k:, k:]
-        X = scipy.linalg.solve_sylvester(A11, -A22, -A12)
+        # A11 X - X A22 = -A12; trsyl returns X times its scale <= 1.
+        Y, scale, info = dtrsyl(A11, A22, -A12, isgn=-1)
+        if info < 0:
+            raise np.linalg.LinAlgError(f"Illegal value encountered in the {-info} term")
+        X = Y / scale
         B1 = Bt[:k] - X @ Bt[k:]
         C1 = Ct[:, :k]
         reduced = StateSpace(A22, Bt[k:], C1 @ X + Ct[:, k:], sys.D)

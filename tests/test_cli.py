@@ -319,9 +319,10 @@ class TestSweep:
         assert err == [f"warning: {warning}" for warning in warnings]
 
     def test_failed_synthesis_solve_gives_flagged_row(self, tmp_path, capsys):
-        # At k_c 1e9 the Riccati solve's ordered Schur form raises LinAlgError
-        # inside hinf_synthesize on the n_apx 2 row; that row is flagged with
-        # its stage and the n_apx 0 row is kept.
+        # At k_c 1e9 every probed level's state Riccati Hamiltonian has
+        # eigenvalues on the imaginary axis, so hinf_synthesize fails on the
+        # n_apx 2 row; that row is flagged with its stage and the n_apx 0
+        # row is kept.
         cfg = _write_cfg(tmp_path / "cfg.json", kc_grid=[1e9], napx_grid=[0, 2])
         out = tmp_path / "o"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0

@@ -3,8 +3,10 @@
 Every value-level check is cross-validated against an independent oracle:
 characteristic-polynomial roots for the abscissa, a Kronecker-product
 linear solve for Lyapunov equations (the library uses Bartels-Stewart),
-algebraic residuals for Riccati equations, closed-form solutions for the
-matrix exponential, and dense frequency-grid scans for the H-infinity norm.
+algebraic residuals for Riccati equations (and, bit for bit, a solve that
+guards with ``eigvals`` and factors with ``scipy.linalg.schur``), closed-form
+solutions for the matrix exponential, and dense frequency-grid scans for the
+H-infinity norm.
 """
 
 import numpy as np
@@ -266,6 +268,110 @@ class TestCare:
         X = solve_riccati(A, S, Q)
         res = A.T @ X + X @ A - X @ S @ X + Q
         assert np.linalg.norm(res) <= 1e-7 * max(1.0, np.linalg.norm(X)) ** 2
+
+
+def _two_solve_riccati(A, S, Q):
+    """``solve_riccati`` as two factorizations wrote it (bit-level oracle):
+    the axis guard from ``eigvals(H)``, then ``scipy.linalg.schur``."""
+    n = A.shape[0]
+    H = np.block([[A, -S], [-Q, -A.T]])
+    eigs = np.linalg.eigvals(H)
+    if np.min(np.abs(eigs.real)) <= 1e-9 * max(1.0, np.max(np.abs(eigs))):
+        raise NumericsError("on the axis")
+    _, Z, sdim = scipy.linalg.schur(H, output="real", sort="lhp")
+    assert sdim == n
+    P = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
+    return 0.5 * (P + P.T)
+
+
+def _riccati_cases():
+    """``TestCare``'s equations, then random solvable ones of order 1-30,
+    half of them with an indefinite quadratic term as H-infinity levels give."""
+    one = np.ones((1, 1))
+    cases = [(np.zeros((1, 1)), one, one), (one, one, 2.0 * one)]
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        # The quadratic term solve_care hands on, R = I.
+        A, B = rng.standard_normal((5, 5)), rng.standard_normal((5, 2))
+        S = B @ np.linalg.solve(np.eye(2), B.T)
+        cases.append((A, 0.5 * (S + S.T), np.eye(5)))
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((4, 4)) - 2.0 * np.eye(4)
+    B, C = rng.standard_normal((4, 2)), rng.standard_normal((2, 4))
+    cases.append((A, B @ B.T - 0.1 * np.eye(4), C.T @ C))
+    rng = np.random.default_rng(27)
+    for i in range(20):
+        n = int(rng.integers(1, 31))
+        A = rng.standard_normal((n, n)) / np.sqrt(n) - 0.5 * np.eye(n)
+        B1, B2 = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+        C = rng.standard_normal((2, n))
+        S = B2 @ B2.T - (0.002 * B1 @ B1.T if i % 2 else 0.0)
+        cases.append((A, S, C.T @ C + 1e-3 * np.eye(n)))
+    return cases
+
+
+class TestRiccatiSchur:
+    """One ordered Schur form serves the solve and its axis guard."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 25, 40])
+    def test_schur_helper_is_scipy_schur(self, n):
+        # Random Hamiltonians of order 4-80: T, Z and sdim in bits.
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        S, Q = rng.standard_normal((2, n, n))
+        H = np.block([[A, -(S + S.T)], [-(Q + Q.T), -A.T]])
+        T, Z, sdim, eigs, info = numerics._schur(H, lambda re, im: re < 0.0)
+        Ts, Zs, ks = scipy.linalg.schur(H, output="real", sort="lhp")
+        assert info == 0
+        assert sdim == ks
+        assert T.tobytes() == Ts.tobytes()
+        assert Z.tobytes() == Zs.tobytes()
+        assert np.sort_complex(eigs) == pytest.approx(
+            np.sort_complex(np.linalg.eigvals(H)), rel=1e-8, abs=1e-8
+        )
+
+    @pytest.mark.parametrize("case", range(27))
+    def test_solution_is_the_two_factorization_one(self, case):
+        A, S, Q = _riccati_cases()[case]
+        assert solve_riccati(A, S, Q).tobytes() == _two_solve_riccati(A, S, Q).tobytes()
+
+    def test_axis_guard(self):
+        Z = np.zeros((3, 3))
+        with pytest.raises(NumericsError, match="eigenvalues on the imaginary axis"):
+            solve_riccati(Z, Z, Z)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (-1, "Schur form not found. Possibly ill-conditioned."),
+            (1, "Eigenvalues could not be separated for reordering."),
+            (2, "Leading eigenvalues do not satisfy sort condition."),
+        ],
+        ids=["not-found", "not-separated", "not-sorted"],
+    )
+    def test_lapack_failures_keep_scipy_messages(self, monkeypatch, extra, message):
+        # LAPACK's info, 1..2n or 2n + 1, 2n + 2, on an equation that solves.
+        real = numerics._schur
+
+        def failing(H, select):
+            T, Z, sdim, eigs, _ = real(H, select)
+            return T, Z, sdim, eigs, H.shape[0] + extra
+
+        monkeypatch.setattr(numerics, "_schur", failing)
+        A, S, Q = _riccati_cases()[2]
+        with pytest.raises(np.linalg.LinAlgError) as exc:
+            solve_riccati(A, S, Q)
+        assert str(exc.value) == message
+
+    def test_axis_guard_before_reorder_failure(self, monkeypatch):
+        real = numerics._schur
+        monkeypatch.setattr(
+            numerics, "_schur",
+            lambda H, select: real(H, select)[:4] + (H.shape[0] + 1,),
+        )
+        Z = np.zeros((2, 2))
+        with pytest.raises(NumericsError, match="imaginary axis"):
+            solve_riccati(Z, Z, Z)
 
 
 class TestExpm:

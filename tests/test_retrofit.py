@@ -6,7 +6,8 @@ by their exact state-space certificates (invariance also against the loop
 equations solved point by point), the cascade against the direct closed
 loop point by point, and the performance bounds against the exact-model
 collapse.  The marginal split's direct LAPACK Schur call is pinned bit for
-bit to ``scipy.linalg.schur``.
+bit to ``scipy.linalg.schur``, and its Sylvester solve on the form's blocks
+to ``scipy.linalg.solve_sylvester`` within a stated tolerance.
 """
 
 import dataclasses
@@ -334,6 +335,45 @@ class TestDeflation:
         assert hinf_norm(reduced, tol=1e-8) == pytest.approx(
             hinf_norm(rest, tol=1e-8), rel=2e-8
         )
+
+    @pytest.mark.parametrize("rest", [1, 2, 7, 40, 100])
+    @pytest.mark.parametrize(
+        "marginal",
+        [[[0.0]], [[0.0, 0.0], [0.0, 0.5]], [[0.0, 3.0], [-3.0, 0.0]]],
+        ids=["k1", "k2-real", "k2-pair"],
+    )
+    def test_decoupling_solves_the_sylvester_equation(self, marginal, rest):
+        # _deflate decouples the marginal block A11 (k = 1 or 2) of the
+        # ordered Schur form from the stable A22 with X, A11 X - X A22 = -A12.
+        # With B = 0 every mode is hidden, and with C = I the remainder's
+        # output map is Z1 X + Z2, so X = Z1^T (C_reduced - Z2).  The rest
+        # mixes real poles and damped pairs, so both blocks hold 1 x 1 and
+        # 2 x 2 diagonal blocks where they can.
+        rng = np.random.default_rng(rest + 10 * len(marginal))
+        J = [np.array(marginal)]
+        while sum(len(b) for b in J) < len(marginal) + rest:
+            sigma = -rng.uniform(0.1, 2.0)
+            if sum(len(b) for b in J) + 2 <= len(marginal) + rest and rng.random() < 0.6:
+                w = rng.uniform(0.5, 5.0)
+                J.append(np.array([[sigma, w], [-w, sigma]]))
+            else:
+                J.append(np.array([[sigma]]))
+        n = len(marginal) + rest
+        # Coupling above the diagonal blocks keeps the spectrum.
+        above = np.triu(np.ones((n, n))) - scipy.linalg.block_diag(*(np.ones(b.shape) for b in J))
+        M = scipy.linalg.block_diag(*J) + above * rng.standard_normal((n, n)) / np.sqrt(n)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = Q @ M @ Q.T
+        _, reduced = _deflate(StateSpace(A, np.zeros((n, 1)), np.eye(n)))
+        T, Z, k = _ordered_schur(A)
+        assert k == len(marginal) and reduced.n_states == rest
+        A11, A12, A22 = T[:k, :k], T[:k, k:], T[k:, k:]
+        X = Z[:, :k].T @ (reduced.C - Z[:, k:])
+        scale = np.linalg.norm(A11) * np.linalg.norm(X) + np.linalg.norm(X) * np.linalg.norm(A22)
+        residual = np.linalg.norm(A11 @ X - X @ A22 + A12) / (scale + np.linalg.norm(A12))
+        assert residual < 1e-14
+        X_ref = scipy.linalg.solve_sylvester(A11, -A22, -A12)
+        assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
 
     def test_stable_system_untouched(self):
         rng = np.random.default_rng(8)
