@@ -40,7 +40,9 @@ class StateSpace:
     __slots__ = ("A", "B", "C", "D")
 
     def __init__(self, A, B, C, D=None):
-        A, B, C = (np.array(M, dtype=float, ndmin=2) for M in (A, B, C))
+        A = np.array(A, dtype=float, ndmin=2)
+        B = np.array(B, dtype=float, ndmin=2)
+        C = np.array(C, dtype=float, ndmin=2)
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError(f"A must be square, got {A.shape}")
@@ -57,9 +59,10 @@ class StateSpace:
                 f"D has shape {D.shape}, expected {(C.shape[0], B.shape[1])}"
             )
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
-            if not np.isfinite(M).all():
+            # Counting the finite entries is cheaper than .all() on small blocks.
+            if np.count_nonzero(np.isfinite(M)) != M.size:
                 raise ValueError(f"{name} contains non-finite entries")
-            M.flags.writeable = False
+            M.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
@@ -119,7 +122,10 @@ def _indices(spec, limit, name):
         return idx.astype(int)
     if idx.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integer indices, got dtype {idx.dtype}")
-    if idx.min() < 0 or idx.max() >= limit:
+    # Python's min and max of the list are cheaper than numpy's reductions
+    # at the few indices of a loop or a selection.
+    listed = idx.tolist()
+    if min(listed) < 0 or max(listed) >= limit:
         raise ValueError(f"{name} indices {idx} out of range [0, {limit})")
     return idx
 
@@ -132,12 +138,12 @@ def select(sys, rows=None, cols=None):
     B, C, D = sys.B, sys.C, sys.D
     if rows is not None:
         rows = _indices(rows, sys.n_outputs, "rows")
-        C, D = C[rows, :], D[rows, :]
+        C, D = C.take(rows, axis=0), D.take(rows, axis=0)
     if cols is not None:
         cols = _indices(cols, sys.n_inputs, "cols")
         B, D = B[:, cols], D[:, cols]
     for M in (B, C, D):
-        M.flags.writeable = False
+        M.setflags(write=False)
     return StateSpace._trusted(sys.A, B, C, D)
 
 
@@ -176,7 +182,9 @@ def close_loop(sys, ctrl, in_idx, out_idx):
     All outputs of ``sys`` are retained and the looped input columns are
     removed from the input list.  The closed-loop state is the plant state
     stacked over the controller state.  Raises on an algebraic loop
-    (singular ``I - D_loop D_ctrl``).
+    (singular ``I - D_loop D_ctrl``).  A loop without feedthrough
+    (``D_loop = 0``, as in every retrofit closure) is closed without that
+    inverse and without the products through ``D_loop``, to the same bits.
     """
     in_idx = _indices(in_idx, sys.n_inputs, "in_idx")
     out_idx = _indices(out_idx, sys.n_outputs, "out_idx")
@@ -190,18 +198,28 @@ def close_loop(sys, ctrl, in_idx, out_idx):
 
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     Bl, Bo = B[:, in_idx], B[:, other]
-    Cs, Ds = C[out_idx], D[out_idx]
+    Cs, Ds = C.take(out_idx, axis=0), D.take(out_idx, axis=0)
     Dsl, Dso = Ds[:, in_idx], Ds[:, other]
     Ak, Bk, Ck, Dk = ctrl.A, ctrl.B, ctrl.C, ctrl.D
+    Dl = D[:, in_idx]
 
-    if Dsl.any():
-        M = np.eye(len(out_idx)) - Dsl @ Dk
-        if np.linalg.cond(M) > 1e12:
-            raise ValueError("algebraic loop: I - D_loop D_ctrl is singular")
-        Mi = np.linalg.inv(M)
-    else:
-        # A loop without feedthrough has M = I exactly, and inv(I) is I.
-        Mi = np.eye(len(out_idx))
+    if not Dsl.any():
+        # A loop without feedthrough has M = I exactly: the formula below
+        # without its products by Mi = I and through Dsl = 0, bit for bit.
+        # Those products only turn -0.0 into +0.0, which a matrix product
+        # does not see (Ak + 0.0 does the same where a sum would), and leave
+        # Bk and Ck in C order, which picks the BLAS routine of a product.
+        Bk, Ck = np.ascontiguousarray(Bk), np.ascontiguousarray(Ck)
+        BlDk, DlDk = Bl @ Dk, Dl @ Dk
+        A_cl = _block([[A + BlDk @ Cs, Bl @ Ck], [Bk @ Cs, Ak + 0.0]])
+        B_cl = np.concatenate([Bo + BlDk @ Dso, Bk @ Dso])
+        C_cl = np.concatenate([C + DlDk @ Cs, Dl @ Ck], axis=1)
+        return StateSpace(A_cl, B_cl, C_cl, D[:, other] + DlDk @ Dso)
+
+    M = np.eye(len(out_idx)) - Dsl @ Dk
+    if np.linalg.cond(M) > 1e12:
+        raise ValueError("algebraic loop: I - D_loop D_ctrl is singular")
+    Mi = np.linalg.inv(M)
 
     # y_s = Mi (Cs x + Dsl Ck xk + Dso u_o); u_l = Ck xk + Dk y_s.  Shared
     # products are formed once; every chain associates left to right
@@ -213,7 +231,6 @@ def close_loop(sys, ctrl, in_idx, out_idx):
     B_cl = np.vstack([Bo + BlDkMi @ Dso, BkMi @ Dso])
 
     # Full output map: y = C x + D_l u_l + D_o u_o with u_l resolved.
-    Dl = D[:, in_idx]
     DlDkMi = Dl @ Dk @ Mi
     C_cl = np.hstack([C + DlDkMi @ Cs, Dl @ Ckl])
     D_cl = D[:, other] + DlDkMi @ Dso

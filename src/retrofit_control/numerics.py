@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgees as _dgees, zgbsv as _zgbsv
+from scipy.linalg.lapack import dgees as _dgees, dtrsen as _dtrsen, zgbsv as _zgbsv
 
 __all__ = [
     "spectral_abscissa",
@@ -45,6 +45,9 @@ _MAX_REFINE = 12
 # Hessenberg system whose batch would hold fewer than two points (n >= 46)
 # takes one banded solve per point instead.
 _FREQ_BATCH = 2**12
+# dgees scales a matrix whose largest entry is nonzero and below this
+# (sqrt(safe minimum) / precision, 2**-459) or above its inverse.
+_SCALE_MIN = 2.0**-459
 
 
 class NumericsError(RuntimeError):
@@ -67,24 +70,70 @@ def _block(rows):
     return np.concatenate([np.concatenate(row, axis=1) for row in rows])
 
 
+def _unsorted(re, im):
+    """``dgees``'s callback when it does not sort; never called."""
+
+
 @functools.lru_cache(maxsize=None)
 def _dgees_lwork(n):
     """Optimal ``dgees`` workspace for order ``n``, which depends on ``n`` only."""
-    return int(_dgees(lambda re, im: None, np.zeros((n, n)), lwork=-1)[-2][0])
+    return int(_dgees(_unsorted, np.zeros((n, n)), lwork=-1)[-2][0])
 
 
 def _schur(A, select):
-    """Real Schur form of ``A`` with the eigenvalues ``select(re, im)`` takes first.
+    """Real Schur form of ``A`` with the eigenvalues ``select`` takes first.
 
-    The LAPACK ``dgees`` call that ``scipy.linalg.schur(A, output="real",
-    sort=select)`` makes, bit for bit, with the workspace size cached per
-    order.  Returns ``(T, Z, sdim, eigs, info)``: ``sdim`` selected
-    eigenvalues lead, ``eigs`` is ``wr + i wi`` as LAPACK reports it, and
-    ``info`` is LAPACK's, left for the caller to check.
+    ``select(wr, wi)`` is vectorized: it maps the arrays of the real and
+    imaginary parts to a boolean array; a complex pair is selected when
+    either of its eigenvalues is.  The result is bit for bit that of LAPACK
+    ``dgees(select, A, sort_t=1)``, which ``scipy.linalg.schur(A,
+    output="real", sort=select)`` calls, built from the routines ``dgees``
+    runs itself: ``dgees`` without sorting (workspace cached per order),
+    then, only when some eigenvalue is selected, ``dtrsen`` (job ``"N"``)
+    and ``dgees``'s test that the selected eigenvalues of the reordered form
+    lead.  A matrix that ``dgees`` scales for its range (a largest entry
+    below 2**-459 or above 2**459) is sorted by ``dgees`` itself.
+
+    Returns ``(T, Z, sdim, eigs, info)``: ``sdim`` selected eigenvalues
+    lead, ``eigs`` is ``wr + i wi`` as LAPACK reports it, and ``info`` is
+    ``dgees``'s, left for the caller to check: 1 to n when no Schur form
+    was found (nothing is reordered), n + 1 when ``dtrsen`` could not swap
+    two blocks, and n + 2 when the selected eigenvalues of the reordered
+    form no longer lead.
     """
-    T, sdim, wr, wi, Z, _, info = _dgees(
-        select, A, lwork=_dgees_lwork(A.shape[0]), sort_t=1
+    n = A.shape[0]
+    T, _, wr, wi, Z, _, info = _dgees(_unsorted, A, lwork=_dgees_lwork(n))
+    chosen = select(wr, wi)
+    if info or not chosen.any():
+        return T, Z, 0, wr + 1j * wi, info
+    largest = np.abs(A).max()
+    if 0.0 < largest < _SCALE_MIN or largest > 1.0 / _SCALE_MIN:
+        T, sdim, wr, wi, Z, _, info = _dgees(
+            lambda re, im: select(np.float64(re), np.float64(im)), A,
+            lwork=_dgees_lwork(n), sort_t=1,
+        )
+        return T, Z, sdim, wr + 1j * wi, info
+    T, Z, wr, wi, sdim, _, _, info = _dtrsen(
+        chosen, T, Z, job="N", overwrite_t=1, overwrite_q=1
     )
+    if info:
+        return T, Z, sdim, wr + 1j * wi, n + 1
+    # dgees's own loop: a 2 x 2 block (wi != 0, two entries) is selected when
+    # either eigenvalue is, and no selected block may follow one that is not.
+    sdim, pair, last, before = 0, False, True, True
+    for cur, im in zip(select(wr, wi).tolist(), wi.tolist()):
+        if im == 0.0:
+            sdim += cur
+            pair = False
+            info = n + 2 if cur and not last else info
+        elif pair:
+            cur = last = cur or last
+            sdim += 2 * cur
+            pair = False
+            info = n + 2 if cur and not before else info
+        else:
+            pair = True
+        before, last = last, cur
     return T, Z, sdim, wr + 1j * wi, info
 
 

@@ -15,7 +15,6 @@ sandwich the achieved norm.  The kernel and invariance residuals are exact
 certificates in the paper's coordinates ``e = x - x_hat``.
 """
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -103,6 +102,13 @@ class PerformanceReport:
         return self.gamma_hat + self.gamma_check
 
 
+def _preexisting_state(G, Ae, Be, Ce, De):
+    """State matrix of the preexisting loop of ``G`` and the environment
+    ``(Ae, Be, Ce, De)``, states ``(x, x_env)``; sizes are not checked."""
+    L, Gamma = G.L, G.Gamma
+    return _block([[G.A + L @ De @ Gamma, L @ Ce], [Be @ Gamma, Ae]])
+
+
 def assemble_preexisting(G, env):
     """The preexisting loop: ``G`` with the environment closed, ``v = env(w)``.
 
@@ -111,7 +117,7 @@ def assemble_preexisting(G, env):
     the loop :func:`closed_loop_direct` closes.  Written by hand, since
     through ``close_loop`` it costs about four times as much.
     """
-    A, B_u, L, W, Gamma, S, C = G.A, G.B, G.L, G.W, G.Gamma, G.S, G.C
+    B_u, L, W, Gamma, S, C = G.B, G.L, G.W, G.Gamma, G.S, G.C
     Ae, Be, Ce, De = env.A, env.B, env.C, env.D
     ne = Ae.shape[0]
     nd, nu, nv, nw = W.shape[1], B_u.shape[1], L.shape[1], Gamma.shape[0]
@@ -121,7 +127,7 @@ def assemble_preexisting(G, env):
             f"plant expects {nw} -> {nv}"
         )
 
-    Afull = _block([[A + L @ De @ Gamma, L @ Ce], [Be @ Gamma, Ae]])
+    Afull = _preexisting_state(G, Ae, Be, Ce, De)
     Bfull = _block([[W, B_u], [np.zeros((ne, nd)), np.zeros((ne, nu))]])
     Cfull = _block(
         [
@@ -145,7 +151,7 @@ def _ordered_schur(A):
     Returns ``(T, Z, k)``, ``k`` the number of marginal modes.
     """
     T, Z, k, _, info = _schur(
-        A, lambda re, im: re >= -_IMAG_TOL * (1.0 + math.hypot(re, im))
+        A, lambda wr, wi: wr >= -_IMAG_TOL * (1.0 + np.hypot(wr, wi))
     )
     if info:
         raise np.linalg.LinAlgError(f"ordered real Schur form failed (dgees info {info})")
@@ -174,7 +180,7 @@ def _deflate(sys):
     if n == 0:
         return -np.inf, sys
     T, Z, k = _ordered_schur(sys.A)
-    abscissa = float(np.max(np.diag(T)[k:])) if k < n else -np.inf
+    abscissa = float(T.diagonal()[k:].max()) if k < n else -np.inf
     if k == 0:
         return abscissa, sys
     Bt = Z.T @ sys.B

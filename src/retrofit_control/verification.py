@@ -20,6 +20,7 @@ from .retrofit import (
     PartitionedPlant,
     STABILITY_TOL,
     _entry_ratio,
+    _preexisting_state,
     assemble_preexisting,
     cascade_realization,
     closed_loop_direct,
@@ -120,16 +121,24 @@ def random_partitioned_plant(rng):
 
 
 def random_admissible_env(rng, G):
-    """Random stable environment scaled until the interconnection is admissible."""
+    """Random stable environment scaled until the interconnection is admissible.
+
+    A random stable 2-state ``w -> v`` system has its ``C`` and ``D`` halved
+    until the state matrix of its preexisting loop with ``G`` has spectral
+    abscissa below ``STABILITY_TOL``; only that matrix is built per halving,
+    and the environment once, at the accepted scale.  After 60 halvings
+    without one, the zero environment is returned.
+    """
     nv, nw = G.L.shape[1], G.Gamma.shape[0]
     cand = random_statespace(rng, 2, nw, nv, stable=True)
     scale = 1.0
     for _ in range(60):
-        env = StateSpace(cand.A, cand.B, scale * cand.C, scale * cand.D)
+        C, D = scale * cand.C, scale * cand.D
         # Admissibility must hold on the full interconnection state, not just
         # the deflated evaluation map, for a meaningful stress test.
-        if spectral_abscissa(assemble_preexisting(G, env).A) < STABILITY_TOL:
-            return env
+        A = _preexisting_state(G, cand.A, cand.B, C, D)
+        if spectral_abscissa(A) < STABILITY_TOL:
+            return StateSpace(cand.A, cand.B, C, D)
         scale *= 0.5
     return StateSpace.zero(nv, nw)
 

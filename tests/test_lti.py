@@ -322,6 +322,36 @@ class TestInterconnectionProperties:
 
         self._check(prop, n=(0, 4), nk=(0, 3), m=(1, 3), p=(1, 3))
 
+    def test_close_loop_without_loop_feedthrough_keeps_layout_and_zero_signs(self):
+        # Blocks in Fortran order holding -0.0 and +0.0 give the general
+        # formula's bits too: the layout of an operand picks the BLAS routine
+        # of a matrix-vector product, and a sum with a zero product turns
+        # -0.0 into +0.0.
+        def block(rng, shape):
+            M = rng.standard_normal(shape)
+            M[rng.random(shape) < 0.3] = -0.0
+            M[rng.random(shape) < 0.2] = 0.0
+            return np.asfortranarray(M)
+
+        def prop(seed, n, nk, m, p):
+            # Several draws per shape: a product's last bit moves in a few %.
+            rng = np.random.default_rng(seed)
+            for _ in range(8):
+                l = rng.choice(m, size=rng.integers(1, m + 1), replace=False)
+                o = rng.choice(p, size=rng.integers(0, p + 1), replace=False)
+                D = block(rng, (p, m))
+                D[np.ix_(o, l)] = 0.0
+                sys = StateSpace(block(rng, (n, n)), block(rng, (n, m)), block(rng, (p, n)), D)
+                shapes = ((nk, nk), (nk, len(o)), (len(l), nk), (len(l), len(o)))
+                ctrl = StateSpace(*(block(rng, s) for s in shapes))
+                got, ref = close_loop(sys, ctrl, l, o), _close_loop_by_inverse(sys, ctrl, l, o)
+                for name in "ABCD":
+                    g, r = getattr(got, name), getattr(ref, name)
+                    assert g.shape == r.shape
+                    assert g.tobytes() == r.tobytes()
+
+        self._check(prop, n=(0, 4), nk=(0, 3), m=(1, 3), p=(1, 3))
+
     def test_select_blocks_are_read_only_sub_blocks(self):
         # select skips StateSpace's copy and checks: its A is the parent's,
         # and every block holds what StateSpace would store, read-only.

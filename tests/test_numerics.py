@@ -4,7 +4,8 @@ Every value-level check is cross-validated against an independent oracle:
 characteristic-polynomial roots for the abscissa, a Kronecker-product
 linear solve for Lyapunov equations (the library uses Bartels-Stewart),
 algebraic residuals for Riccati equations (and, bit for bit, a solve that
-guards with ``eigvals`` and factors with ``scipy.linalg.schur``), closed-form
+guards with ``eigvals`` and factors with ``scipy.linalg.schur``), LAPACK's
+sorted ``dgees`` for the ordered Schur forms, bit for bit, closed-form
 solutions for the matrix exponential, and dense frequency-grid scans for the
 H-infinity norm.
 """
@@ -34,7 +35,7 @@ from retrofit_control import (
     solve_riccati,
     spectral_abscissa,
 )
-from retrofit_control.retrofit import _deflate
+from retrofit_control.retrofit import _deflate, _ordered_schur
 
 
 def _gains(sys, w):
@@ -372,6 +373,95 @@ class TestRiccatiSchur:
         Z = np.zeros((2, 2))
         with pytest.raises(NumericsError, match="imaginary axis"):
             solve_riccati(Z, Z, Z)
+
+
+# Each ordering as _schur takes it, vectorized over (wr, wi), and as a
+# scalar dgees callback.  A pair counts as selected when either eigenvalue
+# is, so "upper" picks whole pairs and no real eigenvalue.
+_ORDERINGS = {
+    "lhp": (lambda wr, wi: wr < 0.0, lambda re, im: re < 0.0),
+    "marginal": (
+        lambda wr, wi: wr >= -numerics._IMAG_TOL * (1.0 + np.hypot(wr, wi)),
+        lambda re, im: re >= -numerics._IMAG_TOL * (1.0 + abs(complex(re, im))),
+    ),
+    "upper": (lambda wr, wi: wi > 0.0, lambda re, im: im > 0.0),
+    "empty": (lambda wr, wi: np.zeros(wr.shape, dtype=bool), lambda re, im: False),
+}
+
+
+def _hamiltonian(rng, n):
+    """A random Hamiltonian matrix of order 2n."""
+    A = rng.standard_normal((n, n))
+    S, Q = rng.standard_normal((2, n, n))
+    return np.block([[A, -(S + S.T)], [-(Q + Q.T), -A.T]])
+
+
+def _schur_cases():
+    """Random matrices of order 1-120; Hamiltonians of order 2-22, among
+    them some whose reordered stable eigenvalues no longer lead (a real one
+    and a pair, dgees's info n + 2), and of order 40 and 80; matrices with
+    0-3 hidden marginal modes; and matrices dgees scales for their range."""
+    rng = np.random.default_rng(29)
+    for n in [1, 120] + list(rng.integers(2, 120, size=20)):
+        yield rng.standard_normal((n, n))
+    rng = np.random.default_rng(0)
+    for n in list(rng.integers(1, 12, size=300)) + [20, 40]:
+        yield _hamiltonian(rng, n)
+    for k in range(4):
+        # k hidden marginal modes: a pair on the axis, then a zero eigenvalue.
+        marginal = [np.array([[0.0, 2.0], [-2.0, 0.0]])] * (k // 2) + [np.zeros((1, 1))] * (k % 2)
+        for rest in (1, 4, 11):
+            J = scipy.linalg.block_diag(*marginal, -np.diag(rng.uniform(0.1, 2.0, rest)))
+            V = rng.standard_normal(J.shape)
+            yield V @ J @ np.linalg.inv(V)
+    for scale in (2.0**-470, 2.0**470):
+        yield scale * rng.standard_normal((9, 9))
+
+
+class TestSchurReorder:
+    """_schur is dgees's sorted Schur form, from dgees unsorted and dtrsen."""
+
+    @pytest.mark.parametrize("ordering", sorted(_ORDERINGS))
+    def test_bit_equal_to_sorted_dgees(self, ordering):
+        vectorized, scalar = _ORDERINGS[ordering]
+        infos = set()  # 0, or info - n for a failed reordering
+        for A in _schur_cases():
+            T, Z, sdim, eigs, info = numerics._schur(A, vectorized)
+            Ts, ks, wr, wi, Zs, _, ref_info = scipy.linalg.lapack.dgees(scalar, A, sort_t=1)
+            assert (sdim, info) == (ks, ref_info)
+            assert T.tobytes() == Ts.tobytes()
+            assert Z.tobytes() == Zs.tobytes()
+            assert eigs.tobytes() == (wr + 1j * wi).tobytes()
+            infos.add(info and info - A.shape[0])
+        assert infos == ({0, 2} if ordering == "lhp" else {0})
+
+    def test_reorders_only_a_selection(self, monkeypatch):
+        real, calls = numerics._dtrsen, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "_dtrsen", counted)
+        for A in _schur_cases():
+            numerics._schur(A, _ORDERINGS["empty"][0])
+        assert not calls
+        numerics._schur(np.diag([-1.0, 0.0]), _ORDERINGS["marginal"][0])
+        assert [list(c) for c in calls] == [[False, True]]
+
+    def test_reorder_failure_keeps_messages(self, monkeypatch):
+        # dtrsen's failure is dgees's info n + 1 in both callers.
+        real = numerics._dtrsen
+        monkeypatch.setattr(
+            numerics, "_dtrsen", lambda *args, **kwargs: real(*args, **kwargs)[:-1] + (1,)
+        )
+        A, S, Q = _riccati_cases()[2]
+        with pytest.raises(np.linalg.LinAlgError) as exc:
+            solve_riccati(A, S, Q)
+        assert str(exc.value) == "Eigenvalues could not be separated for reordering."
+        with pytest.raises(np.linalg.LinAlgError) as exc:
+            _ordered_schur(np.diag([-1.0, 0.0, -2.0]))
+        assert str(exc.value) == "ordered real Schur form failed (dgees info 4)"
 
 
 class TestExpm:

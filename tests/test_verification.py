@@ -14,7 +14,9 @@ the same transfer matrix whose downstream states are swapped, and must
 fail on a 1e-3 relative perturbation of that block on the preset design,
 whose module gains dwarf the block.  A suite samples the designs of the
 cascade and sandwich checks once, and both read as they do alone on that
-sample.
+sample.  The environment sampler returns the bytes of a sampler that
+builds a full preexisting loop per halving, and the robust-stability check
+builds one preexisting loop per environment.
 """
 
 import dataclasses
@@ -222,3 +224,67 @@ class TestRobustStability:
         res = check_robust_stability(seed=0, n_env=N_ENV)
         assert not res.passed
         assert res.worst > 1e-2
+
+    @pytest.mark.parametrize("n_env", [1, N_ENV])
+    def test_one_preexisting_loop_per_environment(self, monkeypatch, n_env):
+        # The sampler tests admissibility on the state matrix alone, so the
+        # check's own builds are the only preexisting loops of its environments.
+        real, calls = verification.assemble_preexisting, []
+
+        def counted(G, env):
+            calls.append(env)
+            return real(G, env)
+
+        monkeypatch.setattr(verification, "assemble_preexisting", counted)
+        assert check_robust_stability(seed=0, n_env=n_env).passed
+        assert len(calls) == n_env
+
+
+def _admissible_env_by_full_loops(rng, G):
+    """The sampler as a full preexisting loop per halving (reference copy)."""
+    nv, nw = G.L.shape[1], G.Gamma.shape[0]
+    cand = verification.random_statespace(rng, 2, nw, nv, stable=True)
+    scale = 1.0
+    for _ in range(60):
+        env = StateSpace(cand.A, cand.B, scale * cand.C, scale * cand.D)
+        pre = verification.assemble_preexisting(G, env)
+        if verification.spectral_abscissa(pre.A) < verification.STABILITY_TOL:
+            return env
+        scale *= 0.5
+    return StateSpace.zero(nv, nw)
+
+
+class TestAdmissibleEnvironment:
+    def _compare(self, seed):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        G = verification.random_partitioned_plant(got_rng)
+        verification.random_partitioned_plant(ref_rng)
+        got = verification.random_admissible_env(got_rng, G)
+        ref = _admissible_env_by_full_loops(ref_rng, G)
+        for name in "ABCD":
+            g, r = getattr(got, name), getattr(ref, name)
+            assert g.shape == r.shape
+            assert g.tobytes() == r.tobytes()
+        # The same draws: both generators continue alike.
+        assert got_rng.random() == ref_rng.random()
+        return got
+
+    def test_same_environment_as_full_loops(self):
+        states = {self._compare(seed).n_states for seed in range(200)}
+        assert states == {2}
+
+    def test_zero_environment_when_nothing_is_admissible(self, monkeypatch):
+        # Every loop refused: 60 halvings, then the zero environment.
+        real, loops = verification.spectral_abscissa, []
+
+        def refusing(A):
+            if A.shape[0] == 6:  # a preexisting loop: 4 plant, 2 environment states
+                loops.append(A.shape)
+                return np.inf
+            return real(A)
+
+        monkeypatch.setattr(verification, "spectral_abscissa", refusing)
+        for seed in range(3):
+            env = self._compare(seed)
+            assert env.n_states == 0 and not env.D.any()
+        assert len(loops) == 3 * 2 * 60
