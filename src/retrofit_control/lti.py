@@ -176,6 +176,21 @@ def negate(sys):
     return StateSpace(sys.A, sys.B, -sys.C, -sys.D)
 
 
+def _loop_state(A, Bl, Cs, ctrl):
+    """State matrix of :func:`close_loop` for a loop without feedthrough.
+
+    ``A`` is the plant's state matrix, ``Bl`` its looped input columns and
+    ``Cs`` its looped output rows, indexed as ``close_loop`` indexes them.
+    This is the general formula without its products by ``Mi = I`` and
+    through ``Dsl = 0``, bit for bit.  Those products only turn -0.0 into
+    +0.0, which a matrix product does not see (``Ak + 0.0`` does the same
+    where a sum would), and leave ``Bk`` and ``Ck`` in C order, which picks
+    the BLAS routine of a product.
+    """
+    Bk, Ck = np.ascontiguousarray(ctrl.B), np.ascontiguousarray(ctrl.C)
+    return _block([[A + Bl @ ctrl.D @ Cs, Bl @ Ck], [Bk @ Cs, ctrl.A + 0.0]])
+
+
 def close_loop(sys, ctrl, in_idx, out_idx):
     """Close the loop ``u[in_idx] = ctrl(y[out_idx])``.
 
@@ -204,14 +219,10 @@ def close_loop(sys, ctrl, in_idx, out_idx):
     Dl = D[:, in_idx]
 
     if not Dsl.any():
-        # A loop without feedthrough has M = I exactly: the formula below
-        # without its products by Mi = I and through Dsl = 0, bit for bit.
-        # Those products only turn -0.0 into +0.0, which a matrix product
-        # does not see (Ak + 0.0 does the same where a sum would), and leave
-        # Bk and Ck in C order, which picks the BLAS routine of a product.
+        # M = I exactly; the rest of the loop follows _loop_state's rules.
         Bk, Ck = np.ascontiguousarray(Bk), np.ascontiguousarray(Ck)
         BlDk, DlDk = Bl @ Dk, Dl @ Dk
-        A_cl = _block([[A + BlDk @ Cs, Bl @ Ck], [Bk @ Cs, Ak + 0.0]])
+        A_cl = _loop_state(A, Bl, Cs, ctrl)
         B_cl = np.concatenate([Bo + BlDk @ Dso, Bk @ Dso])
         C_cl = np.concatenate([C + DlDk @ Cs, Dl @ Ck], axis=1)
         return StateSpace(A_cl, B_cl, C_cl, D[:, other] + DlDk @ Dso)

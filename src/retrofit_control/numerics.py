@@ -137,6 +137,21 @@ def _schur(A, select):
     return T, Z, sdim, wr + 1j * wi, info
 
 
+def _schur_diagonal(A):
+    """Diagonal of ``A``'s real Schur form, without Schur vectors.
+
+    One ``dgees`` call without sorting and without vectors, on ``_schur``'s
+    cached workspace, since the blocking of the Hessenberg reduction
+    depends on it.  Returns ``(diag, eigs, info)``: bit for bit ``T``'s
+    diagonal, ``eigs`` and ``info`` of ``_schur(A, select)`` when
+    ``select`` takes no eigenvalue.
+    """
+    T, _, wr, wi, _, _, info = _dgees(
+        _unsorted, A, compute_v=0, lwork=_dgees_lwork(A.shape[0])
+    )
+    return T.diagonal(), wr + 1j * wi, info
+
+
 def spectral_abscissa(A):
     """Maximum real part over the eigenvalues of a square matrix.
 

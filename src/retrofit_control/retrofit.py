@@ -20,8 +20,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg.lapack import dtrsyl
 
-from .lti import StateSpace, close_loop, minreal, select, series
-from .numerics import _IMAG_TOL, _block, _schur, hinf_norm, spectral_abscissa
+from .lti import StateSpace, _loop_state, close_loop, minreal, select, series
+from .numerics import (
+    _IMAG_TOL, _block, _schur, _schur_diagonal, hinf_norm, spectral_abscissa,
+)
 
 __all__ = [
     "PartitionedPlant",
@@ -109,6 +111,16 @@ def _preexisting_state(G, Ae, Be, Ce, De):
     return _block([[G.A + L @ De @ Gamma, L @ Ce], [Be @ Gamma, Ae]])
 
 
+def _check_env_size(G, env):
+    """Refuse an environment or model that does not map ``w -> v`` of ``G``."""
+    nv, nw = G.L.shape[1], G.Gamma.shape[0]
+    if env.n_inputs != nw or env.n_outputs != nv:
+        raise ValueError(
+            f"environment maps {env.n_inputs} -> {env.n_outputs}, "
+            f"plant expects {nw} -> {nv}"
+        )
+
+
 def assemble_preexisting(G, env):
     """The preexisting loop: ``G`` with the environment closed, ``v = env(w)``.
 
@@ -119,14 +131,8 @@ def assemble_preexisting(G, env):
     """
     B_u, L, W, Gamma, S, C = G.B, G.L, G.W, G.Gamma, G.S, G.C
     Ae, Be, Ce, De = env.A, env.B, env.C, env.D
-    ne = Ae.shape[0]
-    nd, nu, nv, nw = W.shape[1], B_u.shape[1], L.shape[1], Gamma.shape[0]
-    if env.n_inputs != nw or env.n_outputs != nv:
-        raise ValueError(
-            f"environment maps {env.n_inputs} -> {env.n_outputs}, "
-            f"plant expects {nw} -> {nv}"
-        )
-
+    ne, nd, nu = Ae.shape[0], W.shape[1], B_u.shape[1]
+    _check_env_size(G, env)
     Afull = _preexisting_state(G, Ae, Be, Ce, De)
     Bfull = _block([[W, B_u], [np.zeros((ne, nd)), np.zeros((ne, nu))]])
     Cfull = _block(
@@ -143,16 +149,19 @@ def assemble_preexisting(G, env):
 _HIDE_TOL = 1e-7
 
 
+def _marginal(wr, wi):
+    """The marginal band: real part >= -1e-9 (1 + |lambda|), every mode
+    ``hinf_norm`` counts as on the axis or right of it."""
+    return wr >= -_IMAG_TOL * (1.0 + np.hypot(wr, wi))
+
+
 def _ordered_schur(A):
-    """``scipy.linalg.schur(A, output="real", sort=...)`` with the marginal
-    modes first, through ``numerics._schur``: real part >= -1e-9 (1 +
-    |lambda|), every mode ``hinf_norm`` counts as on the axis or right of it.
+    """``scipy.linalg.schur(A, output="real", sort=_marginal)``, the
+    marginal modes first, through ``numerics._schur``.
 
     Returns ``(T, Z, k)``, ``k`` the number of marginal modes.
     """
-    T, Z, k, _, info = _schur(
-        A, lambda wr, wi: wr >= -_IMAG_TOL * (1.0 + np.hypot(wr, wi))
-    )
+    T, Z, k, _, info = _schur(A, _marginal)
     if info:
         raise np.linalg.LinAlgError(f"ordered real Schur form failed (dgees info {info})")
     return T, Z, k
@@ -228,6 +237,25 @@ def deflated_abscissa(sys):
     return _deflate(sys)[0]
 
 
+def _plain_abscissa(A):
+    """:func:`deflated_abscissa` of a system with state matrix ``A``, when
+    no mode of ``A`` lies in the marginal band; ``None`` otherwise.
+
+    One Schur form without vectors: with no marginal mode nothing splits
+    off, and ``_deflate``'s abscissa is the largest diagonal entry of the
+    same ``T``, bit for bit.  ``None`` also when LAPACK finds no Schur form
+    or ``A`` has a non-finite entry, which the full closure refuses.
+    """
+    if not A.size:
+        return -np.inf
+    if not np.isfinite(A).all():
+        return None
+    diag, eigs, info = _schur_diagonal(A)
+    if info or _marginal(eigs.real, eigs.imag).any():
+        return None
+    return float(diag.max())
+
+
 def check_admissible(G, env):
     """Whether the preexisting interconnection of ``G`` and ``env`` is stable.
 
@@ -247,12 +275,13 @@ def new_subsystem(G, apx):
     all outputs remain exposed; the state is the plant state stacked over
     the model state.  With a zero model this is ``G`` itself.
     """
+    _check_env_size(G, apx)
     na = apx.n_states
-    below, right = ((0, na), (0, 0)), ((0, 0), (0, na))
     return PartitionedPlant(
-        assemble_preexisting(G, apx).A,
-        *(np.pad(M, below) for M in (G.B, G.L, G.W)),
-        *(np.pad(M, right) for M in (G.Gamma, G.S, G.C)),
+        _preexisting_state(G, apx.A, apx.B, apx.C, apx.D),
+        *(np.concatenate([M, np.zeros((na, M.shape[1]))]) for M in (G.B, G.L, G.W)),
+        *(np.concatenate([M, np.zeros((M.shape[0], na))], axis=1)
+          for M in (G.Gamma, G.S, G.C)),
     )
 
 
@@ -349,6 +378,17 @@ def closed_loop_direct(G, pre, K):
         out_idx=np.arange(nz, nz + n_meas),
     )
     return select(closed, np.arange(nz))
+
+
+def _direct_state(G, pre, K):
+    """State matrix of ``closed_loop_direct(G, pre, K)``, bit for bit,
+    without the rest of the loop; sizes are not checked."""
+    nz, nd, nu = G.S.shape[0], G.W.shape[1], G.B.shape[1]
+    n_meas = G.C.shape[0] + G.Gamma.shape[0] + G.L.shape[1]
+    return _loop_state(
+        pre.A, pre.B[:, np.arange(nd, nd + nu)],
+        pre.C.take(np.arange(nz, nz + n_meas), axis=0), K,
+    )
 
 
 def direct_controller(G, module):

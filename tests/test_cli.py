@@ -622,6 +622,22 @@ class TestVerify:
         assert "robust stability" not in proc.stdout
         assert lines[-1] == "all 3 checks passed"
 
+    def test_output_independent_of_blas_thread_count(self, tmp_path):
+        # Every check's worst case, printed to its last digit, must not
+        # depend on how many threads the BLAS runs.
+        outs = {}
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                CLI + ["verify", "--seed", "0", "--out", str(tmp_path / threads)],
+                capture_output=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                     "OMP_NUM_THREADS": threads, "RETROFIT_CTL_THREADS": "1"},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs[threads] = proc.stdout
+        assert outs["1"].endswith(b"all 4 checks passed\n")
+        assert outs["1"] == outs["2"]
+
 
 @pytest.mark.parametrize("kind", ["file", "below a file", "empty"])
 @pytest.mark.parametrize("command", ["sweep", "simulate", "verify"])

@@ -5,7 +5,8 @@ characteristic-polynomial roots for the abscissa, a Kronecker-product
 linear solve for Lyapunov equations (the library uses Bartels-Stewart),
 algebraic residuals for Riccati equations (and, bit for bit, a solve that
 guards with ``eigvals`` and factors with ``scipy.linalg.schur``), LAPACK's
-sorted ``dgees`` for the ordered Schur forms, bit for bit, closed-form
+sorted ``dgees`` for the ordered Schur forms, bit for bit, the unsorted
+form with vectors for the diagonal of the form without them, closed-form
 solutions for the matrix exponential, and dense frequency-grid scans for the
 H-infinity norm.
 """
@@ -462,6 +463,25 @@ class TestSchurReorder:
         with pytest.raises(np.linalg.LinAlgError) as exc:
             _ordered_schur(np.diag([-1.0, 0.0, -2.0]))
         assert str(exc.value) == "ordered real Schur form failed (dgees info 4)"
+
+
+class TestSchurDiagonal:
+    """_schur_diagonal is _schur's diagonal without Schur vectors, bit for bit."""
+
+    def test_bit_equal_to_unsorted_schur(self):
+        rng = np.random.default_rng(30)
+        nothing = _ORDERINGS["empty"][0]
+        cases = [rng.standard_normal((n, n)) for n in range(1, 41)]
+        pairs = 0
+        for A in cases + list(_schur_cases()):
+            diag, eigs, info = numerics._schur_diagonal(A)
+            T, _, _, ref_eigs, ref_info = numerics._schur(A, nothing)
+            assert info == ref_info
+            assert diag.tobytes() == T.diagonal().tobytes()
+            assert eigs.tobytes() == ref_eigs.tobytes()
+            pairs += A.shape[0] <= 40 and bool(eigs.imag.any())
+        # Most of the matrices of order 1-40 hold 2 x 2 blocks.
+        assert pairs > 30
 
 
 class TestExpm:

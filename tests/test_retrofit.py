@@ -44,7 +44,9 @@ from retrofit_control import (
     spectral_abscissa,
 )
 from retrofit_control.numerics import _IMAG_TOL
-from retrofit_control.retrofit import STABILITY_TOL, _deflate, _ordered_schur
+from retrofit_control.retrofit import (
+    STABILITY_TOL, _deflate, _direct_state, _ordered_schur,
+)
 from retrofit_control.verification import (
     random_admissible_env,
     random_apx,
@@ -184,7 +186,46 @@ def _new_subsystem_by_close_loop(G, apx):
     }
 
 
+def _new_subsystem_padded(G, apx):
+    """The design plant as the full preexisting loop's ``A`` and ``np.pad``
+    blocks (reference copy)."""
+    na = apx.n_states
+    below, right = ((0, na), (0, 0)), ((0, 0), (0, na))
+    return PartitionedPlant(
+        assemble_preexisting(G, apx).A,
+        *(np.pad(M, below) for M in (G.B, G.L, G.W)),
+        *(np.pad(M, right) for M in (G.Gamma, G.S, G.C)),
+    )
+
+
 class TestNewSubsystem:
+    @pytest.mark.parametrize("kind", ["dynamic", "static", "zero"])
+    def test_same_bytes_as_padded_loop(self, kind):
+        rng = np.random.default_rng(30)
+        for _ in range(10):
+            G = random_partitioned_plant(rng)
+            nv, nw = G.L.shape[1], G.Gamma.shape[0]
+            if kind == "dynamic":
+                apx = random_statespace(rng, 2, nw, nv, stable=False)
+            elif kind == "static":
+                apx = StateSpace.from_gain(rng.standard_normal((nv, nw)))
+            else:
+                apx = StateSpace.zero(nv, nw)
+            got, ref = new_subsystem(G, apx), _new_subsystem_padded(G, apx)
+            for f in dataclasses.fields(PartitionedPlant):
+                g, r = getattr(got, f.name), getattr(ref, f.name)
+                assert g.shape == r.shape, f.name
+                assert g.tobytes() == r.tobytes(), f.name
+
+    def test_wrong_size_refused_as_preexisting_loop(self):
+        G, _ = _plant(seed=19)
+        for bad in TestWrongSize._bad_models():
+            with pytest.raises(ValueError) as ref:
+                assemble_preexisting(G, bad)
+            with pytest.raises(ValueError) as got:
+                new_subsystem(G, bad)
+            assert str(got.value) == str(ref.value)
+
     def _assert_same_blocks(self, G, apx):
         gplus = new_subsystem(G, apx)
         for name, ref in _new_subsystem_by_close_loop(G, apx).items():
@@ -586,6 +627,35 @@ class TestWrongSize:
                    rf"expected {ny + nw + nv} -> {nu}")
             with pytest.raises(ValueError, match=msg):
                 closed_loop_direct(G, pre, bad)
+
+
+class TestDirectState:
+    def test_bit_equal_to_closed_loop(self):
+        # Retrofit and direct controllers, static gains (0 states) and
+        # Fortran-ordered controllers, around sampled and zero environments.
+        rng = np.random.default_rng(31)
+        shapes = set()
+        for i in range(12):
+            G = random_partitioned_plant(rng)
+            nu, ny, nw, nv = G.B.shape[1], G.C.shape[0], G.Gamma.shape[0], G.L.shape[1]
+            n_meas = ny + nw + nv
+            env = random_admissible_env(rng, G) if i % 3 else StateSpace.zero(nv, nw)
+            apx = random_apx(rng, G)
+            module = lqg_module(new_subsystem(G, apx))
+            fortran = ((3, 3), (3, n_meas), (nu, 3), (nu, n_meas))
+            controllers = [
+                compose_retrofit(G, apx, module),
+                direct_controller(G, module),
+                StateSpace.from_gain(rng.standard_normal((nu, n_meas))),
+                StateSpace(*(np.asfortranarray(rng.standard_normal(s)) for s in fortran)),
+            ]
+            pre = assemble_preexisting(G, env)
+            for K in controllers:
+                got, ref = _direct_state(G, pre, K), closed_loop_direct(G, pre, K).A
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+                shapes.add((env.n_states, K.n_states))
+        assert {(0, 0), (2, 0), (0, 3), (2, 3)} <= shapes
 
 
 class TestCascade:

@@ -16,7 +16,11 @@ whose module gains dwarf the block.  A suite samples the designs of the
 cascade and sandwich checks once, and both read as they do alone on that
 sample.  The environment sampler returns the bytes of a sampler that
 builds a full preexisting loop per halving, and the robust-stability check
-builds one preexisting loop per environment.
+builds one preexisting loop per environment.  Its cases read, bit for bit,
+the abscissae of the full closed loops; they close a full loop only when a
+mode lies in the marginal band, as every unstable case of the mutant and
+every case of an environment with a hidden mode at 0 does, where the mode
+is still excused.
 """
 
 import dataclasses
@@ -24,11 +28,15 @@ from itertools import islice
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from retrofit_control import (
     PerformanceReport,
     StateSpace,
+    closed_loop_direct,
+    deflated_abscissa,
     direct_controller,
+    spectral_abscissa,
     verification,
 )
 from retrofit_control.verification import (
@@ -238,6 +246,96 @@ class TestRobustStability:
         monkeypatch.setattr(verification, "assemble_preexisting", counted)
         assert check_robust_stability(seed=0, n_env=n_env).passed
         assert len(calls) == n_env
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_abscissae_of_full_loops(self, monkeypatch, seed):
+        # Every case reads the full closed loop's deflated abscissa, bit for
+        # bit, and none of a passing seed closes a full loop.
+        res, values, closures = _counted_check(monkeypatch, seed, 50)
+        assert res.passed
+        assert _bits(values) == _bits(_abscissae_by_full_loops(seed, 50))
+        assert closures == []
+
+    def test_full_loop_per_unstable_case_without_rectifier(self, monkeypatch):
+        # Under the mutant of test_fails_without_rectifier, exactly the
+        # unstable cases have a mode in the marginal band.
+        monkeypatch.setattr(
+            verification, "compose_retrofit",
+            lambda G, apx, module: direct_controller(G, module),
+        )
+        res, values, closures = _counted_check(monkeypatch, 0, N_ENV)
+        assert not res.passed
+        unstable = sum(v >= verification.STABILITY_TOL for v in values)
+        assert unstable > 0
+        assert len(closures) == unstable
+        assert _bits(values) == _bits(_abscissae_by_full_loops(0, N_ENV))
+
+    def test_hidden_marginal_mode_takes_full_split(self, monkeypatch):
+        # Each environment gains a mode at 0 that w cannot reach, behind a
+        # rotation: every case has it in the band and closes its full loop,
+        # whose split excuses the mode as before.
+        real = verification.random_admissible_env
+        monkeypatch.setattr(
+            verification, "random_admissible_env",
+            lambda rng, G: _with_hidden_zero_mode(real(rng, G)),
+        )
+        res, values, closures = _counted_check(monkeypatch, 0, N_ENV)
+        assert res.passed
+        assert res.detail == f"{res.cases}/{res.cases} stable"
+        assert len(closures) == res.cases == N_ENV * verification.ROBUST_APX
+        assert all(a >= verification.STABILITY_TOL for a in closures)
+        assert _bits(values) == _bits(_abscissae_by_full_loops(0, N_ENV))
+
+
+def _bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+def _with_hidden_zero_mode(env):
+    """``env`` with one more state, a mode at 0 uncontrollable from ``w``,
+    in coordinates rotated by a fixed random orthogonal matrix."""
+    rng = np.random.default_rng(7)
+    n = env.n_states + 1
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = scipy.linalg.block_diag(env.A, 0.0)
+    B = np.vstack([env.B, np.zeros((1, env.n_inputs))])
+    C = np.hstack([env.C, rng.standard_normal((env.n_outputs, 1))])
+    return StateSpace(Q @ A @ Q.T, Q @ B, C @ Q.T, env.D)
+
+
+def _counted_check(monkeypatch, seed, n_env):
+    """``check_robust_stability``'s result, the value of each of its cases,
+    and the undeflated abscissa of each full loop it closes."""
+    real_verdict, values, closures = verification._verdict, [], []
+
+    def verdict(name, tol, cases, **kwargs):
+        values.extend(value for value, _ in cases)
+        return real_verdict(name, tol, cases, **kwargs)
+
+    def direct(G, pre, K):
+        closed = closed_loop_direct(G, pre, K)
+        closures.append(spectral_abscissa(closed.A))
+        return closed
+
+    monkeypatch.setattr(verification, "_verdict", verdict)
+    monkeypatch.setattr(verification, "closed_loop_direct", direct)
+    return check_robust_stability(seed=seed, n_env=n_env), values, closures
+
+
+def _abscissae_by_full_loops(seed, n_env):
+    """Each case's abscissa from its full closed loop (reference copy)."""
+    rng = np.random.default_rng(seed)
+    G = verification.random_partitioned_plant(rng)
+    loops = [
+        verification.assemble_preexisting(G, verification.random_admissible_env(rng, G))
+        for _ in range(n_env)
+    ]
+    values = []
+    for _ in range(verification.ROBUST_APX):
+        module, apx = verification._verified_module(rng, G, verification.random_apx(rng, G))
+        K = verification.compose_retrofit(G, apx, module)
+        values += [deflated_abscissa(closed_loop_direct(G, pre, K)) for pre in loops]
+    return values
 
 
 def _admissible_env_by_full_loops(rng, G):
