@@ -185,10 +185,13 @@ def _loop_state(A, Bl, Cs, ctrl):
     through ``Dsl = 0``, bit for bit.  Those products only turn -0.0 into
     +0.0, which a matrix product does not see (``Ak + 0.0`` does the same
     where a sum would), and leave ``Bk`` and ``Ck`` in C order, which picks
-    the BLAS routine of a product.
+    the BLAS routine of a product.  Returns ``(A_cl, Bk, Ck, Bl Dk)``, the
+    last three for the rest of the loop.
     """
     Bk, Ck = np.ascontiguousarray(ctrl.B), np.ascontiguousarray(ctrl.C)
-    return _block([[A + Bl @ ctrl.D @ Cs, Bl @ Ck], [Bk @ Cs, ctrl.A + 0.0]])
+    BlDk = Bl @ ctrl.D
+    A_cl = _block([[A + BlDk @ Cs, Bl @ Ck], [Bk @ Cs, ctrl.A + 0.0]])
+    return A_cl, Bk, Ck, BlDk
 
 
 def close_loop(sys, ctrl, in_idx, out_idx):
@@ -220,9 +223,8 @@ def close_loop(sys, ctrl, in_idx, out_idx):
 
     if not Dsl.any():
         # M = I exactly; the rest of the loop follows _loop_state's rules.
-        Bk, Ck = np.ascontiguousarray(Bk), np.ascontiguousarray(Ck)
-        BlDk, DlDk = Bl @ Dk, Dl @ Dk
-        A_cl = _loop_state(A, Bl, Cs, ctrl)
+        A_cl, Bk, Ck, BlDk = _loop_state(A, Bl, Cs, ctrl)
+        DlDk = Dl @ Dk
         B_cl = np.concatenate([Bo + BlDk @ Dso, Bk @ Dso])
         C_cl = np.concatenate([C + DlDk @ Cs, Dl @ Ck], axis=1)
         return StateSpace(A_cl, B_cl, C_cl, D[:, other] + DlDk @ Dso)

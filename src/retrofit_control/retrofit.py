@@ -246,9 +246,7 @@ def _plain_abscissa(A):
     same ``T``, bit for bit.  ``None`` also when LAPACK finds no Schur form
     or ``A`` has a non-finite entry, which the full closure refuses.
     """
-    if not A.size:
-        return -np.inf
-    if not np.isfinite(A).all():
+    if np.count_nonzero(np.isfinite(A)) != A.size:
         return None
     diag, eigs, info = _schur_diagonal(A)
     if info or _marginal(eigs.real, eigs.imag).any():
@@ -382,13 +380,14 @@ def closed_loop_direct(G, pre, K):
 
 def _direct_state(G, pre, K):
     """State matrix of ``closed_loop_direct(G, pre, K)``, bit for bit,
-    without the rest of the loop; sizes are not checked."""
+    without the rest of the loop, for ``pre`` as :func:`assemble_preexisting`
+    builds it, without feedthrough; sizes are not checked."""
     nz, nd, nu = G.S.shape[0], G.W.shape[1], G.B.shape[1]
     n_meas = G.C.shape[0] + G.Gamma.shape[0] + G.L.shape[1]
     return _loop_state(
         pre.A, pre.B[:, np.arange(nd, nd + nu)],
         pre.C.take(np.arange(nz, nz + n_meas), axis=0), K,
-    )
+    )[0]
 
 
 def direct_controller(G, module):

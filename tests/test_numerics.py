@@ -471,7 +471,9 @@ class TestSchurDiagonal:
     def test_bit_equal_to_unsorted_schur(self):
         rng = np.random.default_rng(30)
         nothing = _ORDERINGS["empty"][0]
-        cases = [rng.standard_normal((n, n)) for n in range(1, 41)]
+        # Above order 128 the Hessenberg reduction blocks, and its bits
+        # depend on the workspace: order 150 pins _schur's.
+        cases = [rng.standard_normal((n, n)) for n in [*range(1, 41), 150]]
         pairs = 0
         for A in cases + list(_schur_cases()):
             diag, eigs, info = numerics._schur_diagonal(A)

@@ -45,7 +45,7 @@ from retrofit_control import (
 )
 from retrofit_control.numerics import _IMAG_TOL
 from retrofit_control.retrofit import (
-    STABILITY_TOL, _deflate, _direct_state, _ordered_schur,
+    STABILITY_TOL, _deflate, _direct_state, _ordered_schur, _plain_abscissa,
 )
 from retrofit_control.verification import (
     random_admissible_env,
@@ -656,6 +656,14 @@ class TestDirectState:
                 assert got.tobytes() == ref.tobytes()
                 shapes.add((env.n_states, K.n_states))
         assert {(0, 0), (2, 0), (0, 3), (2, 3)} <= shapes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_left_to_full_closure(self, bad):
+        # The full closure refuses a non-finite state matrix; the Schur
+        # diagonal must not read one.
+        A = np.diag([-1.0, -2.0])
+        A[0, 1] = bad
+        assert _plain_abscissa(A) is None
 
 
 class TestCascade:
