@@ -6,26 +6,18 @@ coupling makes the environment harder to ignore; richer surrogates shrink
 the gap between assumed and achieved attenuation.
 """
 
-import numpy as np
-
 from retrofit_control import (
     StateSpace,
-    add,
     balanced_truncate,
     build_network,
-    hinf_norm,
     hinf_synthesize,
     minreal,
-    negate,
+    modeling_error,
     new_subsystem,
     paper_benchmark,
     partition,
     performance_bounds,
 )
-
-
-def modeling_error(env_min, apx):
-    return hinf_norm(minreal(add(env_min, negate(apx))))
 
 
 def main():

@@ -35,7 +35,7 @@ from .oscnet import (
     paper_benchmark,
     partition,
 )
-from .reduction import BalancedReduction, balanced_truncate, gramians
+from .reduction import BalancedReduction, balanced_truncate, gramians, modeling_error
 from .retrofit import (
     PartitionedPlant,
     PerformanceReport,

@@ -31,7 +31,8 @@ import sys
 
 import numpy as np
 
-from .lti import StateSpace, add, minreal, negate, select, simulate
+from .lti import StateSpace, minreal, select, simulate
+# hinf_norm is unused: perfbench/tests/test_tracer.py pins it (ROADMAP item 9).
 from .numerics import NumericsError, hinf_norm
 from .oscnet import (
     BENCHMARK_SEED,
@@ -41,7 +42,7 @@ from .oscnet import (
     paper_benchmark,
     partition,
 )
-from .reduction import balanced_truncate
+from .reduction import balanced_truncate, modeling_error
 from .retrofit import (
     STABILITY_TOL,
     assemble_preexisting,
@@ -253,13 +254,35 @@ def _apx_for(env_min, napx):
     return balanced_truncate(env_min, min(napx, env_min.n_states)).reduced
 
 
+# The Gramians of an environment that is not strictly stable refuse it as
+# unstable (ValueError) or as a singular Lyapunov operator (NumericsError).
+_MODEL_FAILURES = (ValueError, NumericsError, np.linalg.LinAlgError)
+
+
+def _model_point(env_min, k_c, napx):
+    """Model and modeling error of a (k_c, n_apx) point, and a warning; a
+    failed stage gives ``None`` or ``nan`` and a warning that names it."""
+    where = f"kc={k_c} napx={napx}"
+    try:
+        apx = _apx_for(env_min, napx)
+    except _MODEL_FAILURES as exc:
+        return None, np.nan, f"model failed at {where}: {exc}"
+    try:
+        return apx, modeling_error(env_min, apx), None
+    except (NumericsError, np.linalg.LinAlgError) as exc:
+        return apx, np.nan, f"modeling error failed at {where}: {exc}"
+
+
 def _deflated_stable(T_zd):
     return bool(deflated_abscissa(T_zd) < STABILITY_TOL)
 
 
 def _sweep_point(G, env_min, pre, apx, merr, k_c, napx, alpha):
-    """One performance row; a failed synthesis or analysis gives a flagged row."""
+    """One performance row; a failed synthesis or analysis gives a flagged
+    row, and so does no model (``apx`` None, which ``_model_point`` warned of)."""
     flagged = [k_c, napx, alpha, merr, np.nan, np.nan, np.nan, False, False, np.nan]
+    if apx is None:
+        return flagged, None
     where = f"kc={k_c} napx={napx} alpha={alpha}"
     try:
         module, _ = hinf_synthesize(new_subsystem(G, apx), alpha)
@@ -297,11 +320,13 @@ def cmd_sweep(cfg, out_dir, workers):
     setups = {k_c: _environment_setup(cfg, k_c) for k_c in kc_grid}
     error_rows = []
     tasks = []
+    warnings = []
     for k_c in kc_grid:
         G, env_min, pre = setups[k_c]
         for napx in napx_grid:
-            apx = _apx_for(env_min, napx)
-            merr = hinf_norm(minreal(add(env_min, negate(apx))))
+            apx, merr, warning = _model_point(env_min, k_c, napx)
+            if warning:
+                warnings.append(warning)
             error_rows.append([k_c, napx, merr])
             for alpha in alpha_grid:
                 tasks.append((G, env_min, pre, apx, merr, k_c, napx, alpha))
@@ -310,7 +335,7 @@ def cmd_sweep(cfg, out_dir, workers):
         results = list(pool.map(lambda task: _sweep_point(*task), tasks))
 
     perf_rows = [row for row, _ in results]
-    warnings = [warning for _, warning in results if warning]
+    warnings += [warning for _, warning in results if warning]
 
     _write_csv(
         os.path.join(out_dir, "errors.csv"),
@@ -350,7 +375,11 @@ def cmd_sweep(cfg, out_dir, workers):
 
 def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
     G, env_min, pre = _environment_setup(cfg, k_c)
-    apx = _apx_for(env_min, napx)
+    try:
+        apx = _apx_for(env_min, napx)
+    except _MODEL_FAILURES as exc:
+        print(f"model failed at kc={k_c} napx={napx}: {exc}", file=sys.stderr)
+        return 1
     nz, ny, nw = G.S.shape[0], G.C.shape[0], G.Gamma.shape[0]
     dt = float(cfg["simulate"]["dt"])
     t_final = float(cfg["simulate"]["t_final"])

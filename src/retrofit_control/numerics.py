@@ -445,9 +445,9 @@ def hinf_norm(sys, tol=1e-6):
     Parameters
     ----------
     sys : object with A, B, C, D attributes
-        State-space realization.  Must have no imaginary-axis poles: a
-        minimal realization, or a deflated one whose marginal modes were
-        split off, such as ``retrofit._deflate`` returns.
+        State-space realization.  Must have no imaginary-axis poles: one
+        as built with no pole in the band, or a deflated one whose marginal
+        modes were split off, such as ``retrofit._deflate`` returns.
     tol : float
         Relative width of the final bracket.
     """

@@ -3,7 +3,8 @@
 Produces approximate environment models of selectable dimension together
 with the Hankel singular values and the classical twice-the-tail
 L-infinity error bound.  A system is balanced once; truncating it again,
-at any order, reuses that balancing.
+at any order, reuses that balancing.  The modeling error of a reduced
+model is the norm of its difference from the system it approximates.
 """
 
 import functools
@@ -11,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import StateSpace
-from .numerics import solve_lyapunov, spectral_abscissa
+from .lti import StateSpace, add, negate
+from .numerics import hinf_norm, solve_lyapunov, spectral_abscissa
 
-__all__ = ["BalancedReduction", "gramians", "balanced_truncate"]
+__all__ = ["BalancedReduction", "gramians", "balanced_truncate", "modeling_error"]
 
 # Hankel values below this relative threshold are dropped unconditionally to
 # avoid ill-conditioned balancing transforms.
@@ -107,3 +108,14 @@ def balanced_truncate(sys, r):
         Ti = (U[:, :r_eff] / s_half).T @ Lo.T
         reduced = StateSpace(Ti @ sys.A @ T, Ti @ sys.B, sys.C @ T, sys.D)
     return BalancedReduction(reduced, hsv, tail)
+
+
+def modeling_error(env, apx):
+    """H-infinity norm of the modeling error ``env - apx``.
+
+    Taken on the parallel realization as built, with no ``minreal``: an
+    environment and its balanced truncation are both stable, so that
+    realization has no pole in ``hinf_norm``'s axis band.  An environment
+    with a pole there, as an undamped one has, raises ``NumericsError``.
+    """
+    return hinf_norm(add(env, negate(apx)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg.lapack import dtrsyl
 
-from .lti import StateSpace, _loop_state, close_loop, minreal, select, series
+from .lti import StateSpace, _loop_state, close_loop, select, series
 from .numerics import (
     _IMAG_TOL, _block, _schur, _schur_diagonal, hinf_norm, spectral_abscissa,
 )
@@ -535,8 +535,9 @@ def performance_bounds(G, env, apx, module):
     gain.  The cascade is deflated once, for all its rows: a marginal mode
     is excused only when it is hidden from ``z``, ``z_hat`` and ``z_check``
     alike.  The achieved norm and the gap term are the norms of its ``z``
-    and ``z_check`` rows as deflated, the assumed level that of a minimal
-    realization of the design loop.  The controller is
+    and ``z_check`` rows as deflated, the assumed level that of the design
+    loop's ``z`` rows, deflated by the same rule; no norm takes a
+    ``minreal``.  The controller is
     :func:`compose_retrofit`'s, so a module that it refuses is refused here
     with the same ``ValueError``.
     """
@@ -551,7 +552,7 @@ def performance_bounds(G, env, apx, module):
     down_check = select(casc, np.arange(2 * nz, 3 * nz))
     return PerformanceReport(
         hinf_norm(tz, tol=_NORM_TOL),
-        hinf_norm(minreal(up_hat), tol=_NORM_TOL),
+        hinf_norm(_deflate(up_hat)[1], tol=_NORM_TOL),
         hinf_norm(down_check, tol=_NORM_TOL),
         True,
         residual,

@@ -15,7 +15,10 @@ import sys
 import numpy as np
 import pytest
 
-from retrofit_control import StateSpace, cli, paper_benchmark, verification
+from retrofit_control import (
+    StateSpace, build_network, check_admissible, cli, minreal, paper_benchmark,
+    partition, verification,
+)
 from retrofit_control.cli import load_config, main
 
 CLI = [sys.executable, "-m", "retrofit_control.cli"]
@@ -48,6 +51,18 @@ def _network_object(k_c, seed=6):
             for name in ("actuated", "disturbed", "measured", "evaluated")
         },
     }
+
+
+# Four nodes in a chain; the environment, nodes 2 and 3, has no damping, so
+# its poles lie on the imaginary axis while the whole network is damped.
+_UNDAMPED = {
+    "node_count": 4,
+    "edges": [[0, 1, 1], [1, 2, 1], [2, 3, 1]],
+    "inertia": [1, 1, 1, 1],
+    "damping": [0.2, 0.2, 0, 0],
+    "subsystem_nodes": [0, 1],
+    "channels": {"actuated": [0], "disturbed": [0], "measured": [0], "evaluated": [0, 1]},
+}
 
 
 def _read_rows(path):
@@ -351,6 +366,49 @@ class TestSweep:
         (row,) = _read_rows(out / "performance.csv")
         assert np.isnan(float(row["gamma_actual"]))
 
+    def test_undamped_environment_gives_flagged_rows(self, tmp_path, capsys):
+        # The network is admissible, but its environment is undamped: the
+        # modeling error of n_apx 0 has no norm and n_apx 2 has no balanced
+        # model.  Each (k_c, n_apx) point is warned of once, naming its
+        # stage; every row is kept, with nan wherever no value exists.
+        spec, assign = cli._network_at({"network": _UNDAMPED}, 1)
+        G, env = partition(build_network(spec), spec, assign)
+        assert check_admissible(G, env.sys)
+        cfg = _write_cfg(tmp_path / "cfg.json", network=_UNDAMPED, kc_grid=[1],
+                         napx_grid=[0, 2])
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        errors = _read_rows(out / "errors.csv")
+        assert [row["n_apx"] for row in errors] == ["0", "2"]
+        assert all(row["modeling_error"] == "nan" for row in errors)
+        kept, flagged = _read_rows(out / "performance.csv")
+        assert kept["modeling_error"] == "nan" and kept["stable_retrofit"] == "true"
+        assert np.isfinite([float(kept[key]) for key in ("gamma_actual", "gamma_hat")]).all()
+        assert flagged["n_apx"] == "2"
+        assert all(flagged[key] == "nan" for key in ("modeling_error", "gamma_actual",
+                                                     "gamma_hat", "gamma_check"))
+        assert flagged["stable_retrofit"] == flagged["stable_direct"] == "false"
+        warnings = json.loads((out / "sweep_metadata.json").read_text())["warnings"]
+        assert len(warnings) == 2
+        assert warnings[0].startswith("modeling error failed at kc=1 napx=0: ")
+        assert warnings[1].startswith("model failed at kc=1 napx=2: ")
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: {warning}" for warning in warnings]
+
+    def test_minreal_only_for_the_environment(self, tmp_path, monkeypatch):
+        # The modeling errors take their norm on the realization as built;
+        # the one minreal of a k_c is the environment set-up's.
+        calls = []
+
+        def counted(realization):
+            calls.append(realization.n_states)
+            return minreal(realization)
+
+        monkeypatch.setattr(cli, "minreal", counted)
+        cfg = _write_cfg(tmp_path / "cfg.json", kc_grid=[10], napx_grid=[0, 8])
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
     def test_known_keys_load(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.json", seed=6, network="paper-benchmark")
         loaded = load_config(str(cfg))
@@ -496,6 +554,20 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("synthesis failed at kc=1000000000.0 napx=2 alpha=0.2: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["retrofit", "direct", "none"])
+    def test_model_failure_reported(self, tmp_path, capsys, mode):
+        # The undamped environment has no balanced model; simulate says so
+        # in one line, as for a failed synthesis, and writes nothing.
+        cfg = _write_cfg(tmp_path / "cfg.json", network=_UNDAMPED)
+        out = tmp_path / "sim"
+        code = main(["simulate", "--config", str(cfg), "--kc", "1", "--napx", "2",
+                     "--alpha", "0.2", "--mode", mode, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("model failed at kc=1.0 napx=2: ")
         assert not out.exists()
 
     @pytest.mark.parametrize(

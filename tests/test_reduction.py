@@ -7,6 +7,7 @@ shown able to fail: with one Hankel value truncated the bound is tight, so
 halving the reported tail makes it FAIL.  The balancing is computed once
 per system: counted through ``reduction.gramians``, compared bit for bit
 with an uncached copy, and shown not to keep a dropped system alive.
+``modeling_error`` is checked against a dense frequency grid and the bound.
 """
 
 import dataclasses
@@ -18,11 +19,14 @@ import pytest
 
 from retrofit_control import reduction
 from retrofit_control import (
+    NumericsError,
     StateSpace,
     add,
     balanced_truncate,
+    freq_response,
     gramians,
     hinf_norm,
+    modeling_error,
     negate,
     spectral_abscissa,
 )
@@ -157,6 +161,27 @@ class TestBalancedTruncate:
         assert red.reduced.n_states == 2
         assert np.array_equal(red.reduced.A, balanced_truncate(sys, 2).reduced.A)
 
+
+class TestModelingError:
+    def test_between_grid_peak_and_truncation_bound(self):
+        # Oracle: the error's largest gain on a dense grid, which may exceed
+        # the norm by no more than its bracket, and the twice-the-tail bound.
+        rng = np.random.default_rng(9)
+        sys = _rand_stable(rng, 6, 2, 2)
+        grid = np.logspace(-3.0, 3.0, 2000)
+        for r in range(6):
+            red = balanced_truncate(sys, r)
+            err = modeling_error(sys, red.reduced)
+            gap = freq_response(sys, grid) - freq_response(red.reduced, grid)
+            peak = np.linalg.norm(gap, ord=2, axis=(1, 2)).max()
+            assert peak <= err * (1.0 + 1e-6)
+            assert err <= red.error_bound * (1.0 + 1e-6) + 1e-8
+
+    def test_undamped_environment_refused(self):
+        # A pole on the imaginary axis leaves the error without a norm.
+        env = StateSpace([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]])
+        with pytest.raises(NumericsError, match="imaginary axis"):
+            modeling_error(env, StateSpace.zero(1, 1))
 
 class _Referable(StateSpace):
     """A ``StateSpace`` that a weak reference can point to."""

@@ -11,6 +11,7 @@ to ``scipy.linalg.solve_sylvester`` within a stated tolerance.
 """
 
 import dataclasses
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from retrofit_control import (
     invariance_residual,
     kernel_residual,
     lqg_module,
+    modeling_error,
     new_subsystem,
     paper_benchmark,
     partition,
@@ -43,9 +45,11 @@ from retrofit_control import (
     series,
     spectral_abscissa,
 )
+from retrofit_control import lti, reduction, retrofit, verification
 from retrofit_control.numerics import _IMAG_TOL
 from retrofit_control.retrofit import (
-    STABILITY_TOL, _deflate, _direct_state, _ordered_schur, _plain_abscissa,
+    _NORM_TOL, STABILITY_TOL, _deflate, _design_loop, _direct_state, _ordered_schur,
+    _plain_abscissa,
 )
 from retrofit_control.verification import (
     random_admissible_env,
@@ -736,6 +740,29 @@ class TestPerformanceBounds:
         assert rep.stable
         assert rep.gamma_check <= 1e-8
         assert abs(rep.gamma_actual - rep.gamma_hat) <= 1e-6 * rep.gamma_hat
+
+    def test_gamma_hat_is_the_deflated_design_loop_norm(self, preset_design):
+        # gamma_hat follows the rule of the other two norms: the design
+        # loop's z rows split by _deflate, with no minreal, bit for bit.
+        for G, env, apx, module in [preset_design, *islice(verification._designs(0), 3)]:
+            rep = performance_bounds(G, env, apx, module)
+            assert rep.stable
+            up_hat = select(_design_loop(G, apx, module), np.arange(G.S.shape[0]))
+            assert rep.gamma_hat == hinf_norm(_deflate(up_hat)[1], tol=_NORM_TOL)
+
+    def test_norms_take_no_minreal(self, preset_design, monkeypatch):
+        # With minreal refused wherever retrofit and reduction can reach it,
+        # the bounds and the modeling error of the preset design still exist.
+        def refuse(sys):
+            raise AssertionError("minreal called")
+
+        for module in (lti, retrofit, reduction):
+            monkeypatch.setattr(module, "minreal", refuse, raising=False)
+        G, env, apx, module = preset_design
+        rep = performance_bounds(G, env, apx, module)
+        assert rep.stable
+        assert np.isfinite([rep.gamma_actual, rep.gamma_hat, rep.gamma_check]).all()
+        assert np.isfinite(modeling_error(env, apx))
 
     def test_rectified_map_invertibility(self):
         # For an admissible model the w -> w_hat map is nonsingular on a
