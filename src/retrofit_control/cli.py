@@ -11,14 +11,17 @@ Subcommands:
     Impulse response at the first disturbance channel, with the evaluation
     output split into its designer-visible and error-induced components.
 
-``retrofit-ctl verify --config cfg.json [--fuzz-count N] [--seed S]``
-    Runs the randomized invariant suite; nonzero exit on any failure.
+``retrofit-ctl verify [--fuzz-count N] [--seed S]``
+    Runs the randomized invariant suite on the seed (default the
+    paper benchmark's); nonzero exit on any failure.
 
 Configuration is a single versioned JSON document whose unknown keys are
 rejected; the ``"paper-benchmark"`` network preset encodes the 36-node
 oscillator benchmark.  The environment variable ``RETROFIT_CTL_THREADS``
 caps sweep parallelism.  Bad input is refused, before any output, with
-one ``retrofit-ctl: error:`` line and exit status 2.  Outputs are
+one ``retrofit-ctl: error:`` line and exit status 2.  A failing stage of
+a grid point gives one ``{stage} failed at {where}: …`` line: a warning
+and flagged rows in a sweep, exit status 1 in a simulation.  Outputs are
 byte-identical across reruns of the same config and seed.
 """
 
@@ -254,23 +257,25 @@ def _apx_for(env_min, napx):
     return balanced_truncate(env_min, min(napx, env_min.n_states)).reduced
 
 
-# The Gramians of an environment that is not strictly stable refuse it as
-# unstable (ValueError) or as a singular Lyapunov operator (NumericsError).
-_MODEL_FAILURES = (ValueError, NumericsError, np.linalg.LinAlgError)
+# What a failing stage of a grid point raises.  The Gramians of an
+# environment that is not strictly stable refuse it as unstable (ValueError)
+# or as a singular Lyapunov operator (NumericsError).
+_STAGE_FAILURES = (ValueError, SynthesisError, NumericsError, np.linalg.LinAlgError)
 
 
 def _model_point(env_min, k_c, napx):
     """Model and modeling error of a (k_c, n_apx) point, and a warning; a
-    failed stage gives ``None`` or ``nan`` and a warning that names it."""
-    where = f"kc={k_c} napx={napx}"
+    failed stage gives ``None`` or ``nan`` and a warning that names it, and
+    so does no environment (``env_min`` None, which was warned of)."""
+    if env_min is None:
+        return None, np.nan, None
+    apx, stage = None, "model"
     try:
         apx = _apx_for(env_min, napx)
-    except _MODEL_FAILURES as exc:
-        return None, np.nan, f"model failed at {where}: {exc}"
-    try:
+        stage = "modeling error"
         return apx, modeling_error(env_min, apx), None
-    except (NumericsError, np.linalg.LinAlgError) as exc:
-        return apx, np.nan, f"modeling error failed at {where}: {exc}"
+    except _STAGE_FAILURES as exc:
+        return apx, np.nan, f"{stage} failed at kc={k_c} napx={napx}: {exc}"
 
 
 def _deflated_stable(T_zd):
@@ -278,23 +283,23 @@ def _deflated_stable(T_zd):
 
 
 def _sweep_point(G, env_min, pre, apx, merr, k_c, napx, alpha):
-    """One performance row; a failed synthesis or analysis gives a flagged
-    row, and so does no model (``apx`` None, which ``_model_point`` warned of)."""
+    """One performance row and a warning; a failed stage gives a flagged row
+    and a warning that names it, and so does no model (``apx`` None, which
+    was warned of).  An unstable retrofit verdict keeps its row and warns."""
     flagged = [k_c, napx, alpha, merr, np.nan, np.nan, np.nan, False, False, np.nan]
     if apx is None:
         return flagged, None
     where = f"kc={k_c} napx={napx} alpha={alpha}"
+    stage = "synthesis"
     try:
         module, _ = hinf_synthesize(new_subsystem(G, apx), alpha)
-    except (SynthesisError, NumericsError, np.linalg.LinAlgError) as exc:
-        return flagged, f"synthesis failed at {where}: {exc}"
-    direct = closed_loop_direct(G, pre, direct_controller(G, module))
-    stage = "performance bounds"
-    try:
+        stage = "direct loop"
+        direct = closed_loop_direct(G, pre, direct_controller(G, module))
+        stage = "performance bounds"
         report = performance_bounds(G, env_min, apx, module)
         stage = "direct-loop stability"
         stable_direct = _deflated_stable(direct)
-    except (np.linalg.LinAlgError, NumericsError) as exc:
+    except _STAGE_FAILURES as exc:
         return flagged, f"{stage} failed at {where}: {exc}"
     row = [
         k_c,
@@ -308,6 +313,8 @@ def _sweep_point(G, env_min, pre, apx, merr, k_c, napx, alpha):
         stable_direct,
         report.invariance_residual,
     ]
+    if not report.stable:
+        return row, f"retrofit stability failed at {where}: deflated cascade not stable"
     return row, None
 
 
@@ -317,12 +324,15 @@ def cmd_sweep(cfg, out_dir, workers):
     napx_grid = cfg["napx_grid"]
     alpha_grid = cfg["alpha_grid"]
 
-    setups = {k_c: _environment_setup(cfg, k_c) for k_c in kc_grid}
     error_rows = []
     tasks = []
     warnings = []
     for k_c in kc_grid:
-        G, env_min, pre = setups[k_c]
+        try:
+            G, env_min, pre = _environment_setup(cfg, k_c)
+        except _STAGE_FAILURES as exc:
+            G = env_min = pre = None
+            warnings.append(f"environment failed at kc={k_c}: {exc}")
         for napx in napx_grid:
             apx, merr, warning = _model_point(env_min, k_c, napx)
             if warning:
@@ -374,41 +384,39 @@ def cmd_sweep(cfg, out_dir, workers):
 
 
 def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
-    G, env_min, pre = _environment_setup(cfg, k_c)
-    try:
-        apx = _apx_for(env_min, napx)
-    except _MODEL_FAILURES as exc:
-        print(f"model failed at kc={k_c} napx={napx}: {exc}", file=sys.stderr)
-        return 1
-    nz, ny, nw = G.S.shape[0], G.C.shape[0], G.Gamma.shape[0]
     dt = float(cfg["simulate"]["dt"])
     t_final = float(cfg["simulate"]["t_final"])
     n_samples = int(round(t_final / dt)) + 1
     t = np.arange(n_samples) * dt
 
     meta = {"mode": mode, "k_c": k_c, "n_apx": napx, "alpha": alpha, "dt": dt}
-    if mode in ("retrofit", "direct"):
-        try:
+    stage, where = "environment", f"kc={k_c}"
+    try:
+        G, env_min, pre = _environment_setup(cfg, k_c)
+        stage, where = "model", f"{where} napx={napx}"
+        apx = _apx_for(env_min, napx)
+        stage, where = "synthesis", f"{where} alpha={alpha}"
+        if mode == "none":  # argparse's choices refuse any other mode
+            module = StateSpace.zero(G.B.shape[1], G.C.shape[0] + G.Gamma.shape[0])
+        else:
             module, meta["achieved_gamma"] = hinf_synthesize(new_subsystem(G, apx), alpha)
-        except (SynthesisError, NumericsError, np.linalg.LinAlgError) as exc:
-            print(f"synthesis failed at kc={k_c} napx={napx} alpha={alpha}: {exc}",
-                  file=sys.stderr)
-            return 1
-    else:  # "none"; argparse's choices refuse any other mode
-        module = StateSpace.zero(G.B.shape[1], ny + nw)
+        stage = "closed loop"
+        if mode == "direct":
+            sys_out = closed_loop_direct(G, pre, direct_controller(G, module))
+        else:
+            if mode == "retrofit":
+                compose_retrofit(G, apx, module)
+            sys_out = cascade_realization(G, env_min, apx, module)
+        stage = "closed-loop stability"
+        nz = G.S.shape[0]
+        meta["stable"] = _deflated_stable(select(sys_out, np.arange(nz)))
+    except _STAGE_FAILURES as exc:
+        print(f"{stage} failed at {where}: {exc}", file=sys.stderr)
+        return 1
 
     d = np.zeros((n_samples, G.W.shape[1]))
     d[0, 0] = 1.0 / dt  # impulse at the first disturbance channel
-
-    if mode == "direct":
-        sys_out = closed_loop_direct(G, pre, direct_controller(G, module))
-        names = ("z",)
-    else:
-        if mode == "retrofit":
-            compose_retrofit(G, apx, module)
-        sys_out = cascade_realization(G, env_min, apx, module)
-        names = ("z", "zhat", "zcheck")
-    meta["stable"] = _deflated_stable(select(sys_out, np.arange(nz)))
+    names = ("z",) if mode == "direct" else ("z", "zhat", "zcheck")
     header = ["t"] + [f"{name}_{i + 1}" for name in names for i in range(nz)]
     rows = np.column_stack([t, simulate(sys_out, d, dt)])
 
@@ -424,10 +432,8 @@ def cmd_simulate(cfg, k_c, napx, alpha, mode, out_dir):
     return 0
 
 
-def cmd_verify(cfg, fuzz_count, seed, out_dir):
-    results = run_all_checks(
-        seed=seed if seed is not None else cfg["seed"], fuzz_count=fuzz_count
-    )
+def cmd_verify(fuzz_count, seed, out_dir):
+    results = run_all_checks(seed=seed, fuzz_count=fuzz_count)
     failures = [r for r in results if not r.passed]
     for r in results:
         print(r.line())
@@ -466,9 +472,8 @@ def _build_parser():
     p_sim.add_argument("--out", required=True)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
-    p_ver.add_argument("--config", default=None)
     p_ver.add_argument("--fuzz-count", type=int, default=50)
-    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument("--seed", type=int, default=BENCHMARK_SEED)
     p_ver.add_argument("--out", default=".")
     return parser
 
@@ -484,7 +489,7 @@ def main(argv=None):
             if not (_is_number(value) and ok(value)):
                 raise ValueError(f"argument --{flag}: must be {form}, got {value!r}")
         for flag in ("fuzz-count", "seed") if args.command == "verify" else ():
-            if (value := getattr(args, flag.replace("-", "_"))) is not None and value < 0:
+            if (value := getattr(args, flag.replace("-", "_"))) < 0:
                 raise ValueError(f"argument --{flag}: must be an integer >= 0, got {value}")
         if not args.out:
             raise ValueError("argument --out: must not be empty")
@@ -493,7 +498,8 @@ def main(argv=None):
             out = os.path.dirname(out)
         if not os.path.isdir(out):
             raise ValueError(f"argument --out: {out} is not a directory")
-        cfg = load_config(args.config)
+        if args.command != "verify":
+            cfg = load_config(args.config)
         if args.command == "sweep":
             workers = _thread_count()
     except (OSError, ValueError) as exc:
@@ -502,7 +508,7 @@ def main(argv=None):
         return cmd_sweep(cfg, args.out, workers)
     if args.command == "simulate":
         return cmd_simulate(cfg, args.kc, args.napx, args.alpha, args.mode, args.out)
-    return cmd_verify(cfg, args.fuzz_count, args.seed, args.out)
+    return cmd_verify(args.fuzz_count, args.seed, args.out)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from retrofit_control import (
-    StateSpace, build_network, check_admissible, cli, minreal, paper_benchmark,
+    PerformanceReport, StateSpace, build_network, check_admissible, cli, minreal, paper_benchmark,
     partition, verification,
 )
 from retrofit_control.cli import load_config, main
@@ -366,6 +366,66 @@ class TestSweep:
         (row,) = _read_rows(out / "performance.csv")
         assert np.isnan(float(row["gamma_actual"]))
 
+    def test_failed_direct_loop_gives_flagged_row(self, tmp_path, monkeypatch, capsys):
+        # The direct loop's build is a stage of its own, between synthesis
+        # and the performance bounds.
+        def fail(G, pre, K):
+            raise np.linalg.LinAlgError("singular loop")
+
+        monkeypatch.setattr(cli, "closed_loop_direct", fail)
+        cfg = _write_cfg(tmp_path / "cfg.json")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads((out / "sweep_metadata.json").read_text())
+        assert meta["warnings"] == ["direct loop failed at kc=3 napx=0 alpha=0.2: singular loop"]
+        (row,) = _read_rows(out / "performance.csv")
+        assert np.isnan(float(row["gamma_actual"]))
+        assert row["stable_retrofit"] == row["stable_direct"] == "false"
+
+    def test_unstable_retrofit_verdict_warns(self, tmp_path, monkeypatch, capsys):
+        # A row whose cascade is not stable keeps the cells the report gives
+        # and is warned of once, naming the row.
+        def unstable(G, env, apx, module):
+            return PerformanceReport(np.nan, np.nan, np.nan, False, 0.0)
+
+        monkeypatch.setattr(cli, "performance_bounds", unstable)
+        cfg = _write_cfg(tmp_path / "cfg.json")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        warnings = json.loads((out / "sweep_metadata.json").read_text())["warnings"]
+        assert warnings == [
+            "retrofit stability failed at kc=3 napx=0 alpha=0.2: deflated cascade not stable"
+        ]
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"warning: {warnings[0]}"]
+        assert captured.out.endswith("(1 warnings)\n")
+        (row,) = _read_rows(out / "performance.csv")
+        assert row["gamma_actual"] == "nan" and row["invariance_residual"] == "0"
+        assert row["stable_retrofit"] == "false" and row["stable_direct"] == "true"
+
+    def test_failed_environment_gives_flagged_rows(self, tmp_path, capsys):
+        # From k_c 1e155 on minreal's Gram product of the environment
+        # overflows and its eigensolve raises; every row of that k_c is
+        # flagged under one warning and the sweep exits 0.
+        cfg = _write_cfg(tmp_path / "cfg.json", kc_grid=[1e200], napx_grid=[0, 2])
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        errors = _read_rows(out / "errors.csv")
+        assert [(row["n_apx"], row["modeling_error"]) for row in errors] == [
+            ("0", "nan"), ("2", "nan"),
+        ]
+        rows = _read_rows(out / "performance.csv")
+        assert [row["n_apx"] for row in rows] == ["0", "2"]
+        for row in rows:
+            assert all(row[key] == "nan" for key in ("modeling_error", "gamma_actual",
+                                                     "gamma_hat", "gamma_check"))
+            assert row["stable_retrofit"] == row["stable_direct"] == "false"
+        warnings = json.loads((out / "sweep_metadata.json").read_text())["warnings"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("environment failed at kc=1e+200: ")
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: {warning}" for warning in warnings]
+
     def test_undamped_environment_gives_flagged_rows(self, tmp_path, capsys):
         # The network is admissible, but its environment is undamped: the
         # modeling error of n_apx 0 has no norm and n_apx 2 has no balanced
@@ -570,6 +630,55 @@ class TestSimulate:
         assert err[0].startswith("model failed at kc=1.0 napx=2: ")
         assert not out.exists()
 
+    def test_stage_lines_keep_their_form(self, tmp_path, capsys):
+        # The model and synthesis stages print "{stage} failed at {where}:
+        # {reason}", the reason being the stage's own exception text.
+        spec, assign = cli._network_at({"network": _UNDAMPED}, 1.0)
+        G, env = partition(build_network(spec), spec, assign)
+        with pytest.raises(RuntimeError) as model_exc:
+            cli._apx_for(minreal(env.sys), 2)
+        G2, env2, _ = cli._environment_setup({"network": "paper-benchmark", "seed": 6}, 2.0)
+        apx = cli._apx_for(env2, 0)
+        with pytest.raises(RuntimeError) as synth_exc:
+            cli.hinf_synthesize(cli.new_subsystem(G2, apx), 1e-160)
+        cases = [
+            (_write_cfg(tmp_path / "undamped.json", network=_UNDAMPED),
+             ["--kc", "1", "--napx", "2", "--alpha", "0.2"],
+             f"model failed at kc=1.0 napx=2: {model_exc.value}"),
+            (_write_cfg(tmp_path / "preset.json"),
+             ["--kc", "2", "--napx", "0", "--alpha", "1e-160"],
+             f"synthesis failed at kc=2.0 napx=0 alpha=1e-160: {synth_exc.value}"),
+        ]
+        for cfg, flags, line in cases:
+            out = tmp_path / "sim"
+            assert main(["simulate", "--config", str(cfg), *flags, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.splitlines() == [line]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["retrofit", "direct", "none"])
+    def test_environment_failure_reported(self, tmp_path, capsys, mode):
+        # The environment set-up fails from k_c 1e155 on; simulate says so
+        # in one line, as for a failed model, and writes nothing.
+        out = tmp_path / "sim"
+        code = main(["simulate", "--config", str(_write_cfg(tmp_path / "cfg.json")),
+                     "--kc", "1e200", "--napx", "8", "--alpha", "0.2", "--mode", mode,
+                     "--out", str(out)])
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("environment failed at kc=1e+200: ")
+        assert not out.exists()
+
+    def test_closed_loop_verdict_failure_reported(self, tmp_path, capsys):
+        # At k_c 1e30 the ordered Schur form of the n_apx 0 cascade fails
+        # (a sweep flags that row under "performance bounds").
+        out = tmp_path / "sim"
+        code = main(["simulate", "--config", str(_write_cfg(tmp_path / "cfg.json")),
+                     "--kc", "1e30", "--napx", "0", "--alpha", "0.2", "--out", str(out)])
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("closed-loop stability failed at kc=1e+30 napx=0 alpha=0.2: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -693,6 +802,31 @@ class TestVerify:
         ]
         assert "robust stability" not in proc.stdout
         assert lines[-1] == "all 3 checks passed"
+
+    def test_config_flag_refused(self, tmp_path, capsys, monkeypatch):
+        # verify builds no configured network, so it takes no --config.
+        def no_checks(*args, **kwargs):
+            raise AssertionError("checks ran")
+
+        monkeypatch.setattr(cli, "run_all_checks", no_checks)
+        cfg = _write_cfg(tmp_path / "cfg.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"retrofit-ctl: error: unrecognized arguments: --config {cfg}"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_default_seed_is_the_benchmark_seed(self, tmp_path, capsys):
+        outs = []
+        for seed in ([], ["--seed", "6"]):
+            assert main(["verify", "--fuzz-count", "0", *seed, "--out", str(tmp_path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].endswith("all 3 checks passed\n")
 
     def test_output_independent_of_blas_thread_count(self, tmp_path):
         # Every check's worst case, printed to its last digit, must not
