@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from retrofit_control import (
-    PerformanceReport, StateSpace, build_network, check_admissible, cli, minreal, paper_benchmark,
-    partition, verification,
+    PerformanceReport, StateSpace, build_network, check_admissible, cli, minreal,
+    paper_benchmark, partition, verification,
 )
 from retrofit_control.cli import load_config, main
 
@@ -366,7 +366,7 @@ class TestSweep:
         (row,) = _read_rows(out / "performance.csv")
         assert np.isnan(float(row["gamma_actual"]))
 
-    def test_failed_direct_loop_gives_flagged_row(self, tmp_path, monkeypatch, capsys):
+    def test_failed_direct_loop_gives_flagged_row(self, tmp_path, monkeypatch):
         # The direct loop's build is a stage of its own, between synthesis
         # and the performance bounds.
         def fail(G, pre, K):
